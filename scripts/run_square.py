@@ -15,8 +15,7 @@ from towerlab.analytic import ScherkSquare, scherk_value
 from towerlab.conjugate import (conjugate_surface, edge_flux_report,
                                 saddle_tower_piece, surface_to_obj,
                                 tower_to_obj, write_flux_csv)
-from towerlab.jssolver import (NoStabilization, core_mask, graph_to_obj,
-                               last_capped, solve_js)
+from towerlab.jssolver import NoStabilization, core_mask, graph_to_obj, solve_js
 from towerlab.meshing import triangulate
 from towerlab.polygon import unit_square
 
@@ -35,7 +34,7 @@ def main():
         sol = solve_js(mesh, cauchy_tol=2e-2)
         print(f"stabilized at cap {sol.cap:g}, energy {sol.report.energy:.6f}")
     except NoStabilization as exc:
-        sol = last_capped(mesh)[-1]
+        sol = exc.last
         print(f"no stabilization at this h ({exc}); using cap {sol.cap:g}")
 
     core = core_mask(mesh)

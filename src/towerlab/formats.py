@@ -85,10 +85,6 @@ def parse_point_list(value, path=None, line=None):
     return out
 
 
-def parse_str_list(value):
-    return [p.strip() for p in value.split(",") if p.strip()]
-
-
 def emit_json(obj, indent=0):
     """Serialize nested dict/list/scalar data with fixed float formatting.
 

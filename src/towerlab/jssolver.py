@@ -23,7 +23,7 @@ from scipy.sparse.linalg import cg
 
 from .formats import write_json, write_obj
 from .meshing import TriMesh, locate, locate_many
-from .polygon import boundary_distance
+from .polygon import boundary_distance_many
 
 DEFAULT_TOL = 1e-9
 DEFAULT_CAPS = (2.0, 3.0, 4.0, 5.0, 6.0)
@@ -46,13 +46,16 @@ class NoStabilization(RuntimeError):
     """Cap continuation failed to meet the Cauchy criterion.
 
     Carries the per-cap core drift trace; on special domains the trace is
-    the observable form of Jenkins-Serrin nonexistence.
+    the observable form of Jenkins-Serrin nonexistence.  ``last`` is the
+    capped solve at the final cap, the one ``last_capped`` would return
+    last, so callers can fall back to it without solving the ladder again.
     """
 
-    def __init__(self, message, caps, drift):
+    def __init__(self, message, caps, drift, last=None):
         super().__init__(message)
         self.caps = tuple(caps)
         self.drift = tuple(drift)
+        self.last = last
 
 
 def _lock(a):
@@ -249,8 +252,7 @@ def solve_capped(mesh, M, tol=DEFAULT_TOL, u0=None):
 
 def core_mask(mesh, margin=DEFAULT_CORE_MARGIN):
     """Nodes at least margin away from the polygon boundary."""
-    d = np.array([boundary_distance(mesh.polygon, q) for q in mesh.nodes])
-    return d >= margin
+    return boundary_distance_many(mesh.polygon, mesh.nodes) >= margin
 
 
 def solve_js(mesh, caps=DEFAULT_CAPS, tol=DEFAULT_TOL,
@@ -293,7 +295,7 @@ def solve_js(mesh, caps=DEFAULT_CAPS, tol=DEFAULT_TOL,
         prev = np.asarray(sol.u)
     raise NoStabilization(
         f"core drift {drift[-1]:.3e} above {cauchy_tol:g} at final cap {caps[-1]:g}",
-        caps=used, drift=drift)
+        caps=used, drift=drift, last=sol)
 
 
 def last_capped(mesh, caps=DEFAULT_CAPS, tol=DEFAULT_TOL):

@@ -24,7 +24,6 @@ from .jssolver import (
     DEFAULT_TOL,
     NoStabilization,
     gradient_at_many,
-    last_capped,
     solve_js,
 )
 from .meshing import locate_many, triangulate
@@ -129,10 +128,10 @@ def _solve_member(args):
     mesh = triangulate(poly, h, g)
     try:
         sol = solve_js(mesh, caps=caps, tol=tol, cauchy_tol=cauchy_tol)
-    except NoStabilization:
+    except NoStabilization as exc:
         # degenerating members stop stabilizing before the limit; keep the
         # deepest capped solve so fluxes and gradients stay comparable
-        sol = last_capped(mesh, caps=caps, tol=tol)[-1]
+        sol = exc.last
     return poly, sol, conjugate_function(sol)
 
 

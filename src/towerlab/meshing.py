@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from .formats import write_obj
-from .polygon import MarkedPolygon, boundary_distance, contains
+from .polygon import MarkedPolygon, boundary_distance_many, contains_many
 
 VERTEX_RADIUS = 0.3
 MIN_ANGLE_DEG = 20.0
@@ -218,9 +218,12 @@ class _SnapSet:
 def _interior_nodes(p, h, g, bnd):
     """Stacked hex lattices filtered by sizing band and boundary margin.
 
-    Lattices live in the symmetry frame, and accept/reject decisions are
-    made once per symmetry orbit: the first orbit member reached runs the
-    filters and the whole orbit enters or stays out together.  Without
+    Lattices live in the symmetry frame.  Each level builds its candidates
+    rows outer, columns inner, and runs the filters (inside, boundary
+    margin, clearance from the nodes of coarser levels) on the whole level
+    at once.  Decisions are made once per symmetry orbit: an orbit enters
+    when its first member in candidate order passes the filters, and the
+    whole orbit enters or stays out together.  Without
     this the graded multi-level stacks lose the polygon's symmetry to
     1e-16 threshold noise, which un-pins the additive mode of the capped
     solves (see jssolver).
@@ -238,25 +241,24 @@ def _interior_nodes(p, h, g, bnd):
         dy = s * math.sqrt(3.0) / 2.0
         n_rows = int(radius / dy) + 2
         n_cols = int(radius / s) + 2
-        cand = []
-        for j in range(-n_rows, n_rows + 1):
-            off = 0.5 * s if j % 2 else 0.0
-            for i in range(-n_cols - 1, n_cols + 1):
-                cand.append(origin + (i * s + off) * d + (j * dy) * nvec)
-        cand = np.asarray(cand)
+        # rows j outer, columns i inner, as the accept order depends on it
+        jj, ii = np.meshgrid(np.arange(-n_rows, n_rows + 1),
+                             np.arange(-n_cols - 1, n_cols + 1), indexing="ij")
+        off = np.where(jj % 2 == 1, 0.5 * s, 0.0)
+        cand = (origin + (ii * s + off).reshape(-1, 1) * d
+                + (jj * dy).reshape(-1, 1) * nvec)
         ell = sizing(p, cand, h, g)
         band = (s <= 1.42 * ell) & (s > 0.71 * ell)
         cand = cand[band]
         ell = ell[band]
+        # the tree changes only between levels, so the filters see the
+        # same state whether run per point or on the whole level
+        ok = (contains_many(p, cand, tol=-1e-12)
+              & (boundary_distance_many(p, cand) >= BOUNDARY_MARGIN * ell)
+              & (tree.query(cand)[0] >= 0.55 * ell))
         new = []
-        for q, lq in zip(cand, ell):
+        for q in cand[ok]:
             if seen.near(q):
-                continue
-            if not contains(p, q, tol=-1e-12):
-                continue
-            if boundary_distance(p, q) < BOUNDARY_MARGIN * lq:
-                continue
-            if tree.query(q)[0] < 0.55 * lq:
                 continue
             for R in group:
                 im = origin + R @ (q - origin)
@@ -368,9 +370,8 @@ def _odt_sweeps(p, pts, n_bnd, sweeps, origin, maps):
         target = acc / np.maximum(w, 1e-30)[:, None]
         moved = pts.copy()
         moved[n_bnd:] = target[n_bnd:]
-        for i in range(n_bnd, len(pts)):
-            if not contains(p, moved[i], tol=-1e-12):
-                moved[i] = pts[i]
+        outside = ~contains_many(p, moved[n_bnd:], tol=-1e-12)
+        moved[n_bnd:][outside] = pts[n_bnd:][outside]
         pts = _symmetrize(moved, n_bnd, origin, maps)
     return pts
 
@@ -444,7 +445,7 @@ def _assemble(p, h, g, nodes, tris, counts):
         - p.vertices[:, 1] * np.roll(p.vertices[:, 0], -1)))
     if abs(float(areas.sum()) - poly_area) > 1e-9:
         raise MeshFailure("triangle areas do not cover the polygon")
-    bdist = np.array([boundary_distance(p, q) for q in nodes[:n_bnd]])
+    bdist = boundary_distance_many(p, nodes[:n_bnd])
     if bdist.max() > 1e-9:
         raise MeshFailure("boundary node off the polygon boundary")
     return mesh

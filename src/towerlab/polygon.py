@@ -180,25 +180,46 @@ def perimeter(p):
     return float(np.hypot(edges[:, 0], edges[:, 1]).sum())
 
 
-def contains(p, q, tol=1e-12):
-    q = np.asarray(q, dtype=float)
+def contains_many(p, pts, tol=1e-12):
+    """Inside test for an (N, 2) array of points; returns an (N,) bool array.
+
+    A point passes when its cross product with every edge is >= -tol.
+    Edges have unit length, so that cross product is the signed distance
+    to the edge's line, positive inside: a positive tol also admits points
+    up to tol outside, and a negative tol (as the mesher uses) keeps only
+    points strictly inside, more than |tol| from every edge line.
+    """
+    pts = np.asarray(pts, dtype=float)
     v = p.vertices
     e = p.edge_vectors()
-    rel = q - v
-    cross = e[:, 0] * rel[:, 1] - e[:, 1] * rel[:, 0]
-    return bool((cross >= -tol).all())
+    rel = pts[:, None, :] - v
+    cross = e[:, 0] * rel[:, :, 1] - e[:, 1] * rel[:, :, 0]
+    return (cross >= -tol).all(axis=1)
+
+
+def contains(p, q, tol=1e-12):
+    """``contains_many`` for one point q of shape (2,); returns a bool."""
+    return bool(contains_many(p, np.reshape(q, (1, 2)), tol)[0])
+
+
+def boundary_distance_many(p, pts):
+    """Distances from an (N, 2) array of points to the polygon boundary.
+
+    Returns an (N,) array; the distance does not depend on the side.
+    """
+    pts = np.asarray(pts, dtype=float)
+    v = p.vertices
+    e = p.edge_vectors()
+    rel = pts[:, None, :] - v
+    t = np.clip((rel * e).sum(axis=2) / (e * e).sum(axis=1), 0.0, 1.0)
+    foot = v + t[:, :, None] * e
+    gap = pts[:, None, :] - foot
+    return np.hypot(gap[:, :, 0], gap[:, :, 1]).min(axis=1)
 
 
 def boundary_distance(p, q):
-    """Distance from q to the polygon boundary (independent of side)."""
-    q = np.asarray(q, dtype=float)
-    v = p.vertices
-    e = p.edge_vectors()
-    rel = q - v
-    t = np.clip((rel * e).sum(axis=1) / (e * e).sum(axis=1), 0.0, 1.0)
-    foot = v + t[:, None] * e
-    d = np.hypot(*(q - foot).T)
-    return float(d.min())
+    """``boundary_distance_many`` for one point q of shape (2,)."""
+    return float(boundary_distance_many(p, np.reshape(q, (1, 2)))[0])
 
 
 def is_special(p, tol=1e-9):

@@ -11,6 +11,7 @@ classification tags and the not-diverging verdict.
 import numpy as np
 import pytest
 
+from towerlab import jssolver, limits
 from towerlab.analytic import ScherkSquare, scherk_value
 from towerlab.conjugate import flux
 from towerlab.limits import (
@@ -35,6 +36,7 @@ from towerlab.limits import (
     solve_sequence,
     write_sequence_csv,
 )
+from towerlab.meshing import triangulate
 from towerlab.polygon import (
     MarkedPolygon,
     classify_limit,
@@ -372,6 +374,29 @@ def test_fallback_keeps_deepest_cap(grow_seq):
     _, sol, _ = grow_seq.members[1]
     assert sol.report.stabilized_cap is None
     assert sol.cap == 6.0
+
+
+def test_fallback_reuses_the_ladder(monkeypatch):
+    # a member that never stabilizes keeps the final rung solve_js already
+    # made instead of running the whole ladder again
+    caps = (2.0, 3.0, 4.0, 5.0, 6.0)
+    poly = split_rectangle(3)
+    calls = []
+    solve_capped = jssolver.solve_capped
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return solve_capped(*args, **kwargs)
+
+    monkeypatch.setattr(jssolver, "solve_capped", counting)
+    _, sol, _ = limits._solve_member((poly, 0.1, 0.5, caps, jssolver.DEFAULT_TOL,
+                                      HONEST_CAUCHY_TOL))
+    assert calls == list(caps)
+    monkeypatch.undo()
+    mesh = triangulate(poly, 0.1, 0.5)
+    want = jssolver.last_capped(mesh, caps=caps)[-1]
+    assert sol.cap == 6.0 and sol.report.stabilized_cap is None
+    assert np.array_equal(sol.u, want.u)
 
 
 def test_flux_against_conjugate_module(hdelta_seq, hdelta_report):

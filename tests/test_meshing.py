@@ -1,5 +1,7 @@
 """Mesh generator tests: sizing, conformity, quality, determinism, refinement."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -175,3 +177,30 @@ def test_obj_export(square_mesh, tmp_path):
     first_face = next(l for l in text.splitlines() if l.startswith("f "))
     idx = [int(w) for w in first_face.split()[1:]]
     assert min(idx) >= 1
+
+
+# sha256 of nodes.tobytes() + triangles.tobytes() (float64, int64); the
+# artifacts and the exact-symmetry solver tests depend on these bytes, so
+# mesher rewrites must reproduce them, not just meshes of similar quality
+SQUARE_DIGEST = "fab51a44a60a2cf8945c4170edd4b1d851642bb212ea88b302bdb9ce7bb2ea68"
+PINNED_MESHES = [
+    (regular_polygon, 3, 0.05, 0.25, "dbef097237a641fd36578ea089959948d53c94728ff83af936a975e36dbceff6"),
+    (regular_polygon, 4, 0.05, 0.25, "e637d2d4fde8912fe1ad8bfc7b115b52d205c888a6f05454f8af280b1914832a"),
+    (split_rectangle, 3, 0.05, 0.25, "f79f8db028490918e4965644a2dcc4625d4654b409fe1437e2ecfcc8e6b1eca5"),
+    (regular_polygon, 4, 0.1, 0.5, "5a4e37a60996d6a44596ae498fbb676262dbd3737995565d82b29a8da923cbc0"),
+]
+
+
+def _mesh_digest(m):
+    assert m.nodes.dtype == np.float64 and m.triangles.dtype == np.int64
+    return hashlib.sha256(m.nodes.tobytes() + m.triangles.tobytes()).hexdigest()
+
+
+def test_pinned_square_mesh_bytes(square_fine_mesh):
+    assert _mesh_digest(square_fine_mesh) == SQUARE_DIGEST
+
+
+@pytest.mark.parametrize("make, n, h, g, digest", PINNED_MESHES,
+                         ids=["hexagon", "octagon", "split3", "octagon-coarse"])
+def test_pinned_mesh_bytes(make, n, h, g, digest):
+    assert _mesh_digest(triangulate(make(n), h, g)) == digest

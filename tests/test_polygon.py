@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from towerlab.jssolver import DEFAULT_CORE_MARGIN, core_mask
+
 from towerlab.polygon import (
     BadMarkingParity,
     KIND_BOUNDED,
@@ -23,8 +25,10 @@ from towerlab.polygon import (
     UndecidedLimit,
     area,
     boundary_distance,
+    boundary_distance_many,
     classify_limit,
     contains,
+    contains_many,
     dump_domain,
     from_turning_angles,
     from_vertices,
@@ -261,3 +265,79 @@ def test_marked_polygon_is_frozen():
     sq = unit_square()
     with pytest.raises(Exception):
         sq.vertices[0, 0] = 5.0
+
+
+# ---------------------------------------------------------------------------
+# batch predicates against the per-point formulas they replace
+
+def _contains_one(p, q, tol):
+    v = p.vertices
+    e = np.roll(v, -1, axis=0) - v
+    rel = np.asarray(q, dtype=float) - v
+    cross = e[:, 0] * rel[:, 1] - e[:, 1] * rel[:, 0]
+    return bool((cross >= -tol).all())
+
+
+def _boundary_distance_one(p, q):
+    q = np.asarray(q, dtype=float)
+    v = p.vertices
+    e = np.roll(v, -1, axis=0) - v
+    rel = q - v
+    t = np.clip((rel * e).sum(axis=1) / (e * e).sum(axis=1), 0.0, 1.0)
+    foot = v + t[:, None] * e
+    return float(np.hypot(*(q - foot).T).min())
+
+
+def _probe_points(p, seed=7):
+    """Random points around p, its vertices, points on and just off its edges."""
+    rng = np.random.default_rng(seed)
+    v = p.vertices
+    e = np.roll(v, -1, axis=0) - v
+    lo, hi = v.min(axis=0) - 0.5, v.max(axis=0) + 0.5
+    spread = lo + rng.random((400, 2)) * (hi - lo)
+    t = rng.random((len(v), 8))
+    on_edge = (v[:, None, :] + t[:, :, None] * e[:, None, :]).reshape(-1, 2)
+    normal = np.column_stack([-e[:, 1], e[:, 0]])  # points inward (CCW)
+    mids = v + 0.5 * e
+    off_edge = [mids + k * normal for k in (-2e-12, -5e-13, 5e-13, 2e-12, -0.3)]
+    return np.vstack([spread, v, on_edge, *off_edge])
+
+
+@pytest.mark.parametrize("poly", [unit_square(), regular_polygon(3),
+                                  near_special_hexagon(0.05)],
+                         ids=["square", "hexagon", "near-special"])
+@pytest.mark.parametrize("tol", [1e-12, -1e-12])
+def test_contains_many_matches_per_point_formula(poly, tol):
+    pts = _probe_points(poly)
+    want = np.array([_contains_one(poly, q, tol) for q in pts])
+    got = contains_many(poly, pts, tol)
+    assert got.shape == (len(pts),) and got.dtype == bool
+    assert np.array_equal(got, want)
+    assert [contains(poly, q, tol) for q in pts] == want.tolist()
+    assert want.any() and not want.all()
+
+
+@pytest.mark.parametrize("poly", [unit_square(), regular_polygon(3),
+                                  near_special_hexagon(0.05)],
+                         ids=["square", "hexagon", "near-special"])
+def test_boundary_distance_many_matches_per_point_formula(poly):
+    pts = _probe_points(poly)
+    want = np.array([_boundary_distance_one(poly, q) for q in pts])
+    got = boundary_distance_many(poly, pts)
+    assert got.shape == (len(pts),)
+    assert np.array_equal(got, want)
+    assert [boundary_distance(poly, q) for q in pts] == want.tolist()
+
+
+def test_tol_sign_decides_edge_points():
+    sq = unit_square()
+    on_edge = np.array([[0.5, 0.0], [1.0, 0.25], [0.0, 0.0]])
+    assert contains_many(sq, on_edge, 1e-12).all()
+    assert not contains_many(sq, on_edge, -1e-12).any()
+    assert contains_many(sq, np.empty((0, 2))).shape == (0,)
+
+
+def test_core_mask_matches_per_node_formula(hex_mesh):
+    want = np.array([_boundary_distance_one(hex_mesh.polygon, q) >= DEFAULT_CORE_MARGIN
+                     for q in hex_mesh.nodes])
+    assert np.array_equal(core_mask(hex_mesh), want)
