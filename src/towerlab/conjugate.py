@@ -332,9 +332,9 @@ def flux(sol, path):
         d = q - p
         if d[0] == 0.0 and d[1] == 0.0:
             continue
-        denom = d[0] * R[:, 1] - d[1] * R[:, 0]
         ap = A - p
         with np.errstate(divide="ignore", invalid="ignore"):
+            denom = d[0] * R[:, 1] - d[1] * R[:, 0]
             t = (ap[:, 0] * R[:, 1] - ap[:, 1] * R[:, 0]) / denom
             u = (ap[:, 0] * d[1] - ap[:, 1] * d[0]) / denom
         hit = np.isfinite(t) & (t > 0.0) & (t < 1.0) & (u >= -1e-12) & (u <= 1.0 + 1e-12)

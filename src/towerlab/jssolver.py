@@ -88,7 +88,11 @@ class GraphSolution:
 # --- P1 assembly ----------------------------------------------------------
 
 def _geometry(mesh):
-    """Per-triangle areas and shape-function gradients, cached on the mesh."""
+    """Per-triangle areas and shape-function gradients.
+
+    Recomputed from the mesh on every call: ``solve_capped`` builds it once
+    per solve, and ``energy`` once per call unless given ``geom``.
+    """
     tris = mesh.triangles
     a = mesh.nodes[tris[:, 0]]
     b = mesh.nodes[tris[:, 1]]
@@ -192,7 +196,10 @@ def solve_capped(mesh, M, tol=DEFAULT_TOL, u0=None):
     n = len(mesh.nodes)
     free = np.flatnonzero(mesh.interior_mask())
     if u0 is None:
-        u = _harmonic_extension(mesh, bvals, geom)
+        try:
+            u = _harmonic_extension(mesh, bvals, geom)
+        except LinearSolveFailure as exc:
+            raise LinearSolveFailure(f"{exc} at cap {M:g}") from None
     else:
         u = np.asarray(u0, dtype=float).copy()
         if len(u) != n:
@@ -211,8 +218,8 @@ def solve_capped(mesh, M, tol=DEFAULT_TOL, u0=None):
                 break
             polish = True
         if iterations >= MAX_NEWTON:
-            raise NoDescent(f"no convergence in {MAX_NEWTON} Newton steps, "
-                            f"residual {res:.3e}")
+            raise NoDescent(f"no convergence in {MAX_NEWTON} Newton steps "
+                            f"at cap {M:g}, residual {res:.3e}")
         H = _hessian(mesh, g, W, geom)
         A = H[free][:, free]
         rhs = -grad_full[free]
@@ -220,7 +227,7 @@ def solve_capped(mesh, M, tol=DEFAULT_TOL, u0=None):
         precond = sparse.diags(1.0 / np.where(diag > 0, diag, 1.0))
         step, info = cg(A, rhs, rtol=1e-10, atol=0.0, maxiter=20 * n, M=precond)
         if info != 0:
-            raise LinearSolveFailure(f"Newton CG returned info={info}")
+            raise LinearSolveFailure(f"Newton CG returned info={info} at cap {M:g}")
         slope = float(rhs @ step)
         if slope <= 0:
             # H is positive definite, so a zero slope means we are done
@@ -236,7 +243,7 @@ def solve_capped(mesh, M, tol=DEFAULT_TOL, u0=None):
                 break
             alpha *= 0.5
         if not ok:
-            raise NoDescent(f"line search stalled at residual {res:.3e}")
+            raise NoDescent(f"line search stalled at cap {M:g}, residual {res:.3e}")
         u = u_try
         E = E_try
         trace.append(E)

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
@@ -89,6 +91,12 @@ class TriMesh:
 
     def min_angle(self):
         return float(np.min(_angles(self.nodes, self.triangles)))
+
+    @cached_property
+    def _point_grids(self):
+        # locate_many's bucket grids, one per tolerance in use; not a
+        # field, so it stays out of __eq__ and __repr__
+        return {}
 
 
 def sizing(p, pts, h, g):
@@ -510,30 +518,118 @@ def locate(mesh, q):
     return int(idx[0]), bary[0]
 
 
-def locate_many(mesh, pts, tol=1e-10):
-    pts = np.asarray(pts, dtype=float)
+class _PointGrid(NamedTuple):
+    """Uniform bucket grid over the padded triangle boxes of one mesh.
+
+    Cell (ix, iy) holds ``tri[indptr[k]:indptr[k + 1]]``, k = iy * nx + ix,
+    in increasing triangle index.  ``coef`` rows carry, per triangle, the
+    operands of the barycentric formulas: a_x, a_y, c_y - a_y, c_x - a_x,
+    -(b_y - a_y), b_x - a_x and det.
+    """
+    coef: np.ndarray
+    origin: np.ndarray
+    cell: float
+    shape: np.ndarray
+    indptr: np.ndarray
+    tri: np.ndarray
+
+
+def _build_point_grid(mesh, tol):
     tris = mesh.triangles
     a = mesh.nodes[tris[:, 0]]
     b = mesh.nodes[tris[:, 1]]
     c = mesh.nodes[tris[:, 2]]
     det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    coef = np.stack([a[:, 0], a[:, 1], c[:, 1] - a[:, 1], c[:, 0] - a[:, 0],
+                     -(b[:, 1] - a[:, 1]), b[:, 0] - a[:, 0], det], axis=1)
+    corners = mesh.nodes[tris]
+    lo = corners.min(axis=1)
+    hi = corners.max(axis=1)
+    # {bary >= -tol} is the triangle scaled by 1 + 3 tol about its
+    # centroid, whose corners move by at most 2 tol diam
+    pad = (4.0 * max(tol, 0.0) * (hi - lo).max(axis=1) + 1e-12)[:, None]
+    lo = lo - pad
+    hi = hi + pad
+    cell = 1.5 * math.sqrt(float(np.abs(det).mean()) / 2.0)
+    origin = lo.min(axis=0)
+    # the same floor expression places query points, and every step of
+    # it is monotone, so a point inside a padded box lands in its cells
+    clo = np.floor((lo - origin) / cell).astype(np.int64)
+    chi = np.floor((hi - origin) / cell).astype(np.int64)
+    shape = chi.max(axis=0) + 1
+    span = chi - clo + 1
+    count = span[:, 0] * span[:, 1]
+    owner = np.repeat(np.arange(len(tris)), count)
+    k = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+    ix = clo[owner, 0] + k % span[owner, 0]
+    iy = clo[owner, 1] + k // span[owner, 0]
+    key = iy * shape[0] + ix
+    # owner is ascending, so a stable sort keeps each cell in index order
+    order = np.argsort(key, kind="stable")
+    indptr = np.zeros(shape[0] * shape[1] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=shape[0] * shape[1]), out=indptr[1:])
+    return _PointGrid(coef=_lock(coef), origin=_lock(origin), cell=cell,
+                      shape=_lock(shape), indptr=_lock(indptr),
+                      tri=_lock(owner[order]))
+
+
+def locate_many(mesh, pts, tol=1e-10):
+    """Containing triangles and barycentric coordinates of many points.
+
+    A point belongs to a triangle when all three barycentric coordinates
+    are at least ``-tol``, so points on or within about ``tol`` times the
+    triangle size outside the domain's edges are located.  Among the
+    triangles that contain a point, the lowest index wins; on shared edges
+    and at vertex stars that tie rule decides which triangle's data a
+    caller sees.  Raises OutsideDomain, naming the first such point, when
+    a point (NaN and infinite ones included) lies in no triangle.
+
+    Candidates come from a uniform bucket grid over the triangles'
+    bounding boxes, padded to cover the ``-tol`` margin, with cells about
+    1.5 mean triangle sizes wide.  The grid is built on the first call for
+    each ``tol``, in a few array passes over the triangles, and cached on
+    the mesh; a call then costs the points times the triangles per cell.
+    Every candidate is tested with the scan's own formulas, so the result
+    equals a scan over all triangles, barycentrics bit for bit.
+    """
+    pts = np.asarray(pts, dtype=float)
     out_idx = np.empty(len(pts), dtype=np.int64)
     out_bary = np.empty((len(pts), 3))
-    for s in range(0, len(pts), 256):
-        block = pts[s:s + 256]
-        dx = block[:, None, 0] - a[None, :, 0]
-        dy = block[:, None, 1] - a[None, :, 1]
-        l1 = ((c[:, 1] - a[:, 1])[None, :] * dx - (c[:, 0] - a[:, 0])[None, :] * dy) / det[None, :]
-        l2 = (-(b[:, 1] - a[:, 1])[None, :] * dx + (b[:, 0] - a[:, 0])[None, :] * dy) / det[None, :]
+    if len(pts) == 0:
+        return out_idx, out_bary
+    grid = mesh._point_grids.get(tol)
+    if grid is None:
+        grid = mesh._point_grids[tol] = _build_point_grid(mesh, tol)
+    nx = grid.shape[0]
+    for s in range(0, len(pts), 1024):
+        block = pts[s:s + 1024]
+        f = np.floor((block - grid.origin) / grid.cell)
+        inside = ((f >= 0) & (f < grid.shape)).all(axis=1)
+        f[~inside] = 0.0
+        key = f[:, 1].astype(np.int64) * nx + f[:, 0].astype(np.int64)
+        start = grid.indptr[key]
+        n = np.where(inside, grid.indptr[key + 1] - start, 0)
+        pt = np.repeat(np.arange(len(block)), n)
+        pos = np.arange(len(pt)) - np.repeat(np.cumsum(n) - n, n) + start[pt]
+        t = grid.tri[pos]
+        g = grid.coef[t]
+        dx = block[pt, 0] - g[:, 0]
+        dy = block[pt, 1] - g[:, 1]
+        l1 = (g[:, 2] * dx - g[:, 3] * dy) / g[:, 6]
+        l2 = (g[:, 4] * dx + g[:, 5] * dy) / g[:, 6]
         l0 = 1.0 - l1 - l2
-        ok = (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
-        for r in range(len(block)):
-            hits = np.flatnonzero(ok[r])
-            if len(hits) == 0:
-                raise OutsideDomain(f"point {tuple(block[r])} outside the mesh")
-            t = int(hits[0])
-            out_idx[s + r] = t
-            out_bary[s + r] = (l0[r, t], l1[r, t], l2[r, t])
+        hit = np.flatnonzero((l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol))
+        # pairs run point by point in increasing triangle index, so the
+        # first hit of each point is its lowest-index triangle
+        first = hit[np.diff(pt[hit], prepend=-1) != 0]
+        found = pt[first]
+        if len(found) < len(block):
+            located = np.zeros(len(block), dtype=bool)
+            located[found] = True
+            r = int(np.argmin(located))
+            raise OutsideDomain(f"point {tuple(block[r])} outside the mesh")
+        out_idx[s:s + len(block)] = t[first]
+        out_bary[s:s + len(block)] = np.stack([l0[first], l1[first], l2[first]], axis=1)
     return out_idx, out_bary
 
 

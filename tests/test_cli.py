@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from towerlab import jssolver
 from towerlab.cli import ExperimentConfig, error_record, load_config, main, run
 from towerlab.formats import ConfigError
 from towerlab.meshing import OutsideDomain
@@ -317,6 +318,16 @@ def test_main_module_provenance(tmp_path, capsys):
     rec = json.loads(capsys.readouterr().out)
     assert rec["error"] == "NoStabilization"
     assert rec["module"] == "jssolver"
+
+
+def test_solver_failure_record_names_the_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(jssolver, "MAX_NEWTON", 0)
+    c = coarse_solve_cfg(tmp_path)
+    assert main(["solve", "--config", c, "--out", str(tmp_path / "out")]) == 1
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["error"] == "NoDescent"
+    assert rec["module"] == "jssolver"
+    assert "at cap 2," in rec["message"]
 
 
 def test_error_record_shape():

@@ -165,6 +165,10 @@ def test_degenerate_path_has_zero_flux(square_js):
 def test_flux_outside_domain_raises(square_js):
     with pytest.raises(PathOutsideDomain):
         flux(square_js, [(0.5, 0.5), (1.5, 0.5)])
+    # barely outside, far outside and non-finite ends fail the same way
+    for end in [(1.0 + 1e-6, 0.5), (1e6, 0.0), (np.nan, 0.5), (0.5, np.inf)]:
+        with pytest.raises(PathOutsideDomain):
+            flux(square_js, [(0.5, 0.5), end])
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from towerlab.polygon import unit_square, regular_polygon, split_rectangle, area, is_special
+from towerlab import jssolver
 from towerlab.meshing import triangulate, refine, OutsideDomain
 from towerlab.jssolver import (
     solve_capped,
@@ -16,6 +17,7 @@ from towerlab.jssolver import (
     gradient_at,
     gradient_at_many,
     report_to_json,
+    LinearSolveFailure,
     NoDescent,
     NoStabilization,
     DEFAULT_TOL,
@@ -99,6 +101,20 @@ def test_unreachable_tolerance_raises():
     m = triangulate(unit_square(), h=0.25, g=1.0)
     with pytest.raises(NoDescent):
         solve_capped(m, 2.0, tol=1e-18)
+
+
+def test_solver_failures_name_the_cap(monkeypatch):
+    m = triangulate(unit_square(), h=0.25, g=1.0)
+    monkeypatch.setattr(jssolver, "MAX_NEWTON", 0)
+    with pytest.raises(NoDescent, match="at cap 3,"):
+        solve_capped(m, 3.0)
+    monkeypatch.undo()
+    # the harmonic start and the Newton step are the two linear solves
+    monkeypatch.setattr(jssolver, "cg", lambda A, b, **kw: (np.zeros_like(b), 1))
+    with pytest.raises(LinearSolveFailure, match="harmonic .* at cap 4$"):
+        solve_capped(m, 4.0)
+    with pytest.raises(LinearSolveFailure, match="Newton .* at cap 5$"):
+        solve_capped(m, 5.0, u0=np.zeros(len(m.nodes)))
 
 
 def test_solve_js_cap_validation(hex_mesh):

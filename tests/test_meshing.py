@@ -1,6 +1,8 @@
 """Mesh generator tests: sizing, conformity, quality, determinism, refinement."""
 
 import hashlib
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,7 +155,110 @@ def test_locate_many_matches_scalar(square_mesh):
     for k in range(len(pts)):
         t, b = locate(m, pts[k])
         assert t == idx[k]
-        assert np.allclose(b, bary[k])
+        assert np.array_equal(b, bary[k])
+
+
+def _scan(mesh, pts, tol=1e-10):
+    """Every point against every triangle; -1 where none contains it."""
+    tris = mesh.triangles
+    a = mesh.nodes[tris[:, 0]]
+    b = mesh.nodes[tris[:, 1]]
+    c = mesh.nodes[tris[:, 2]]
+    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    idx = np.full(len(pts), -1, dtype=np.int64)
+    bary = np.full((len(pts), 3), np.nan)
+    for s in range(0, len(pts), 256):
+        block = pts[s:s + 256]
+        dx = block[:, None, 0] - a[None, :, 0]
+        dy = block[:, None, 1] - a[None, :, 1]
+        l1 = ((c[:, 1] - a[:, 1])[None, :] * dx - (c[:, 0] - a[:, 0])[None, :] * dy) / det[None, :]
+        l2 = (-(b[:, 1] - a[:, 1])[None, :] * dx + (b[:, 0] - a[:, 0])[None, :] * dy) / det[None, :]
+        l0 = 1.0 - l1 - l2
+        ok = (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
+        for r in range(len(block)):
+            hits = np.flatnonzero(ok[r])
+            if len(hits):
+                t = hits[0]
+                idx[s + r] = t
+                bary[s + r] = (l0[r, t], l1[r, t], l2[r, t])
+    return idx, bary
+
+
+def _probe_points(mesh, rng):
+    nodes, tris = mesh.nodes, mesh.triangles
+    w = rng.dirichlet((1.0, 1.0, 1.0), size=300)
+    interior = np.einsum("pk,pkd->pd", w, nodes[tris[rng.integers(len(tris), size=300)]])
+    edges = np.unique(np.sort(np.concatenate(
+        [tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1), axis=0)
+    mids = 0.5 * (nodes[edges[:, 0]] + nodes[edges[:, 1]])
+    # boundary segment midpoints pushed 1e-12 outward (boundary runs CCW)
+    p, q = nodes[mesh.bnd_edges[:, 0]], nodes[mesh.bnd_edges[:, 1]]
+    d = q - p
+    normal = np.stack([d[:, 1], -d[:, 0]], axis=1) / np.hypot(d[:, 0], d[:, 1])[:, None]
+    wall = 0.5 * (p + q) + 1e-12 * normal
+    return np.vstack([interior, nodes, mids, wall]), len(wall)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: triangulate(unit_square(), 0.05, 0.25),
+    lambda: triangulate(regular_polygon(3), 0.1, 0.5),
+    lambda: triangulate(near_special_hexagon(0.05), 0.05, 0.25),
+    lambda: refine(triangulate(unit_square(), 0.1, 0.25)),
+], ids=["square", "hexagon", "near-special", "refined-square"])
+def test_locate_many_matches_full_scan(make):
+    # nodes are where vertex stars tie, edge midpoints where two triangles
+    # tie; the index and the barycentrics must equal the scan's bit for bit
+    m = make()
+    pts, n_wall = _probe_points(m, np.random.default_rng(11))
+    want_idx, want_bary = _scan(m, pts)
+    found = want_idx >= 0
+    assert found[:-n_wall].all()
+    # the wall points inside tol carry the one-sided margin; the rest
+    # sit at corner triangles thinner than 1e-12 / tol
+    assert found[-n_wall:].sum() > n_wall // 2
+    idx, bary = locate_many(m, pts[found])
+    assert np.array_equal(idx, want_idx[found])
+    assert np.array_equal(bary, want_bary[found])
+    for q in pts[~found]:
+        with pytest.raises(OutsideDomain):
+            locate(m, q)
+
+
+def test_locate_many_edge_cases(square_mesh):
+    idx, bary = locate_many(square_mesh, np.empty((0, 2)))
+    assert idx.shape == (0,) and idx.dtype == np.int64
+    assert bary.shape == (0, 3) and bary.dtype == np.float64
+    for q in [(1.0 + 1e-6, 0.5), (0.5, -1e-6), (1e6, 0.0), (np.nan, 0.5),
+              (0.5, np.inf), (-np.inf, 0.5)]:
+        with pytest.raises(OutsideDomain):
+            locate(square_mesh, q)
+    # a bad point anywhere in a batch fails the whole call
+    with pytest.raises(OutsideDomain, match="nan"):
+        locate_many(square_mesh, np.array([[0.5, 0.5]] * 2000 + [[np.nan, 0.5]]))
+
+
+def test_locate_index_survives_pickling(square_mesh):
+    pts = np.array([[0.3, 0.4], [0.5, 0.5], [1.0, 0.25]])
+    want = locate_many(square_mesh, pts)
+    copy = pickle.loads(pickle.dumps(square_mesh))
+    got = locate_many(copy, pts)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert "_point_grids" not in repr(square_mesh)
+
+
+def test_locate_many_memory_stays_small():
+    # the full scan held 256 x T temporaries, about 14 MB each at T = 6740;
+    # the peak includes building the bucket grid on this first call
+    m = triangulate(unit_square(), 0.025, 0.25)
+    g = (np.arange(64) + 0.5) / 64
+    pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    tracemalloc.start()
+    try:
+        locate_many(m, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_mesh_failure_on_bad_parameters():
