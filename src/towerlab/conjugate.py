@@ -123,24 +123,6 @@ def _surface_coeffs(sol):
     return np.stack([w1, w2, w3], axis=1)
 
 
-def _edge_owner(mesh):
-    """Unique undirected mesh edges with the lowest-index triangle on each.
-
-    Edges come out sorted by endpoint pair, so callers can binary-search
-    them; the owner convention fixes which side's form an edge integral
-    uses.
-    """
-    tris = mesh.triangles
-    e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    e = np.sort(e, axis=1)
-    tid = np.tile(np.arange(len(tris)), 3)
-    order = np.lexsort((tid, e[:, 1], e[:, 0]))
-    e, tid = e[order], tid[order]
-    first = np.ones(len(e), dtype=bool)
-    first[1:] = (np.diff(e[:, 0]) != 0) | (np.diff(e[:, 1]) != 0)
-    return e[first], tid[first]
-
-
 def _spanning_tree(mesh, edges, root, weight):
     """Boundary-chain-first, defect-weighted spanning tree.
 
@@ -210,7 +192,7 @@ def _triangle_circulations(mesh, coeffs):
     these.  Shape (T, k) for k forms.
     """
     tris = mesh.triangles
-    edges, owner = _edge_owner(mesh)
+    edges, owner = mesh._edge_owner
     n = len(mesh.nodes)
     key = edges[:, 0] * n + edges[:, 1]
     circ = np.zeros((len(tris), coeffs.shape[1]))
@@ -245,7 +227,7 @@ def _integrate(mesh, coeffs, root):
     last form, which callers arrange to be dpsi, so the function and the
     surface integrate over the identical tree.
     """
-    edges, owner = _edge_owner(mesh)
+    edges, owner = mesh._edge_owner
     circs = _triangle_circulations(mesh, coeffs)
     weight = _edge_weights(mesh, edges, np.abs(circs[:, -1]))
     steps = _spanning_tree(mesh, edges, root, weight)
@@ -321,7 +303,7 @@ def flux(sol, path):
         raise ValueError("path must be an (k, 2) array with k >= 2")
     mesh = sol.mesh
     coeffs = _psi_coeffs(sol)
-    edges, _ = _edge_owner(mesh)
+    edges, _ = mesh._edge_owner
     A = mesh.nodes[edges[:, 0]]
     R = mesh.nodes[edges[:, 1]] - A
 
@@ -375,7 +357,7 @@ def edge_flux_report(sol):
     """
     mesh = sol.mesh
     coeffs = _psi_coeffs(sol)
-    edges, owner = _edge_owner(mesh)
+    edges, owner = mesh._edge_owner
     key = edges[:, 0] * len(mesh.nodes) + edges[:, 1]
     seg = np.sort(mesh.bnd_edges, axis=1)
     pos = np.searchsorted(key, seg[:, 0] * len(mesh.nodes) + seg[:, 1])

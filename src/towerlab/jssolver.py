@@ -15,15 +15,14 @@ Jenkins-Serrin approximation, or a drift trace when no graph exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import cg
 
 from .formats import write_json, write_obj
 from .meshing import TriMesh, locate, locate_many
-from .polygon import boundary_distance_many
+from .polygon import _lock, boundary_distance_many
 
 DEFAULT_TOL = 1e-9
 DEFAULT_CAPS = (2.0, 3.0, 4.0, 5.0, 6.0)
@@ -58,15 +57,17 @@ class NoStabilization(RuntimeError):
         self.last = last
 
 
-def _lock(a):
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class SolveReport:
+    """Counters of one capped solve.
+
+    ``iterations`` counts Newton steps and ``linear_iterations`` the CG
+    iterations summed over them (the harmonic start not included).
+    ``solve_js`` adds the ladder's caps, stabilized cap and core drift.
+    """
+
     iterations: int
+    linear_iterations: int
     residual: float
     energy: float
     energy_trace: tuple
@@ -88,10 +89,12 @@ class GraphSolution:
 # --- P1 assembly ----------------------------------------------------------
 
 def _geometry(mesh):
-    """Per-triangle areas and shape-function gradients.
+    """Per-triangle areas, shape-function gradients and their dot products.
 
     Recomputed from the mesh on every call: ``solve_capped`` builds it once
-    per solve, and ``energy`` once per call unless given ``geom``.
+    per solve, and ``energy`` once per call unless given ``geom``.  The
+    dot products ``grad phi_k . grad phi_l`` enter every Newton Hessian
+    and the harmonic start.
     """
     tris = mesh.triangles
     a = mesh.nodes[tris[:, 0]]
@@ -106,7 +109,7 @@ def _geometry(mesh):
         gp[:, k, 0] = -e[:, 1]
         gp[:, k, 1] = e[:, 0]
     gp /= det[:, None, None]
-    return area, gp
+    return area, gp, np.einsum("tkd,tld->tkl", gp, gp)
 
 
 def _grad_of(u, tris, gp):
@@ -114,14 +117,14 @@ def _grad_of(u, tris, gp):
 
 
 def energy(mesh, u, geom=None):
-    area, gp = geom if geom is not None else _geometry(mesh)
+    area, gp, _ = geom if geom is not None else _geometry(mesh)
     g = _grad_of(u, mesh.triangles, gp)
     W = np.sqrt(1.0 + (g * g).sum(axis=1))
     return float((area * W).sum())
 
 
 def _energy_gradient(mesh, u, geom):
-    area, gp = geom
+    area, gp, _ = geom
     tris = mesh.triangles
     g = _grad_of(u, tris, gp)
     W = np.sqrt(1.0 + (g * g).sum(axis=1))
@@ -132,16 +135,57 @@ def _energy_gradient(mesh, u, geom):
 
 
 def _hessian(mesh, g, W, geom):
-    area, gp = geom
-    tris = mesh.triangles
-    dots = np.einsum("tkd,tld->tkl", gp, gp)
+    """Free-node Hessian of the energy and its diagonal.
+
+    Filled through the mesh's cached assembly plan, bit for bit the COO
+    assembly restricted to interior rows and columns.
+    """
+    area, gp, dots = geom
     gphi = np.einsum("td,tkd->tk", g, gp)
     block = (area / W)[:, None, None] * dots \
         - (area / W ** 3)[:, None, None] * gphi[:, :, None] * gphi[:, None, :]
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    n = len(mesh.nodes)
-    return sparse.coo_matrix((block.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return mesh._free_assembly.matrix(block)
+
+
+def cg(A, b, *, rtol=1e-5, atol=0.0, maxiter=None, M=None, callback=None):
+    """Conjugate gradients for a symmetric positive definite ``A``.
+
+    The arithmetic of ``scipy.sparse.linalg.cg`` (scipy 1.17) from a zero
+    start, operation for operation, so iterates and ``info`` are bit for
+    bit scipy's, without its operator wrappers.  ``M`` is the inverse of
+    the Jacobi diagonal as a vector, or None for no preconditioner.
+    Returns ``(x, info)``: info is 0 on convergence to
+    ``max(atol, rtol * |b|)`` and ``maxiter`` when the iterations ran out.
+    ``callback(x)`` runs after every iteration.
+    """
+    bnrm2 = math.sqrt(b.dot(b))
+    atol = max(float(atol), float(rtol) * bnrm2)
+    if bnrm2 == 0:
+        return b.copy(), 0
+    if maxiter is None:
+        maxiter = 10 * len(b)
+    x = np.zeros(len(b))
+    r = b.copy()
+    p = None
+    rho_prev = None
+    for iteration in range(maxiter):
+        if math.sqrt(r.dot(r)) < atol:
+            return x, 0
+        z = r if M is None else r * M
+        rho = r.dot(z)
+        if iteration > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = A @ p
+        alpha = rho / p.dot(q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        if callback is not None:
+            callback(x)
+    return x, maxiter
 
 
 def boundary_values(mesh, M):
@@ -156,13 +200,13 @@ def boundary_values(mesh, M):
 
 
 def _harmonic_extension(mesh, bvals, geom):
-    area, gp = geom
+    area, _, dots = geom
     tris = mesh.triangles
-    dots = np.einsum("tkd,tld->tkl", gp, gp) * area[:, None, None]
+    stiff = dots * area[:, None, None]
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
     n = len(mesh.nodes)
-    K = sparse.coo_matrix((dots.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    K = sparse.coo_matrix((stiff.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     bidx = mesh.boundary_nodes()
     free = np.flatnonzero(mesh.interior_mask())
     u = np.zeros(n)
@@ -186,6 +230,11 @@ def solve_capped(mesh, M, tol=DEFAULT_TOL, u0=None):
     norm of the free energy gradient drops below tol, then takes one more
     Newton step so two different starts land on the same minimizer well
     below tol.
+
+    The free-node Hessian is filled through an assembly plan cached on
+    the mesh, and both linear solves, the harmonic start and each Newton
+    step, run ``cg``, which repeats scipy's CG arithmetic exactly.  The
+    report counts Newton steps and their CG iterations.
     """
     if M < 0:
         raise ValueError("cap M must be nonnegative")
@@ -208,6 +257,12 @@ def solve_capped(mesh, M, tol=DEFAULT_TOL, u0=None):
     E = energy(mesh, u, geom)
     trace = [E]
     iterations = 0
+    linear_iterations = 0
+
+    def count(xk):
+        nonlocal linear_iterations
+        linear_iterations += 1
+
     polish = False
     res = math.inf
     while True:
@@ -220,12 +275,10 @@ def solve_capped(mesh, M, tol=DEFAULT_TOL, u0=None):
         if iterations >= MAX_NEWTON:
             raise NoDescent(f"no convergence in {MAX_NEWTON} Newton steps "
                             f"at cap {M:g}, residual {res:.3e}")
-        H = _hessian(mesh, g, W, geom)
-        A = H[free][:, free]
+        A, diag = _hessian(mesh, g, W, geom)
         rhs = -grad_full[free]
-        diag = A.diagonal()
-        precond = sparse.diags(1.0 / np.where(diag > 0, diag, 1.0))
-        step, info = cg(A, rhs, rtol=1e-10, atol=0.0, maxiter=20 * n, M=precond)
+        step, info = cg(A, rhs, rtol=1e-10, atol=0.0, maxiter=20 * n,
+                        M=1.0 / np.where(diag > 0, diag, 1.0), callback=count)
         if info != 0:
             raise LinearSolveFailure(f"Newton CG returned info={info} at cap {M:g}")
         slope = float(rhs @ step)
@@ -251,8 +304,8 @@ def solve_capped(mesh, M, tol=DEFAULT_TOL, u0=None):
 
     grad_full, g, W = _energy_gradient(mesh, u, geom)
     res = float(np.linalg.norm(grad_full[free]))
-    report = SolveReport(iterations=iterations, residual=res, energy=E,
-                         energy_trace=tuple(trace))
+    report = SolveReport(iterations=iterations, linear_iterations=linear_iterations,
+                         residual=res, energy=E, energy_trace=tuple(trace))
     return GraphSolution(mesh=mesh, u=_lock(u), cap=float(M),
                          grad=_lock(g), W=_lock(W), report=report)
 
@@ -290,15 +343,9 @@ def solve_js(mesh, caps=DEFAULT_CAPS, tol=DEFAULT_TOL,
             diff = float(np.max(np.abs(sol.u[core] - prev[core])))
             drift.append(diff)
             if diff <= cauchy_tol:
-                report = SolveReport(iterations=sol.report.iterations,
-                                     residual=sol.report.residual,
-                                     energy=sol.report.energy,
-                                     energy_trace=sol.report.energy_trace,
-                                     cap_trace=tuple(used),
-                                     stabilized_cap=M,
-                                     core_drift=tuple(drift))
-                return GraphSolution(mesh=sol.mesh, u=sol.u, cap=sol.cap,
-                                     grad=sol.grad, W=sol.W, report=report)
+                report = replace(sol.report, cap_trace=tuple(used),
+                                 stabilized_cap=M, core_drift=tuple(drift))
+                return replace(sol, report=report)
         prev = np.asarray(sol.u)
     raise NoStabilization(
         f"core drift {drift[-1]:.3e} above {cauchy_tol:g} at final cap {caps[-1]:g}",

@@ -27,7 +27,7 @@ from .jssolver import (
     solve_js,
 )
 from .meshing import locate_many, triangulate
-from .polygon import KIND_BOUNDED, KIND_HALFPLANE, KIND_STRIP, classify_limit
+from .polygon import KIND_BOUNDED, KIND_HALFPLANE, KIND_STRIP, _lock, classify_limit
 
 DEFAULT_CAND_TOL = 0.05
 DEFAULT_FLUX_SLACK = 0.05
@@ -115,12 +115,6 @@ class NormalizedLimit:
     points: np.ndarray
     values: np.ndarray
     member_index: int
-
-
-def _lock(a):
-    a = np.ascontiguousarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 def _solve_member(args):

@@ -23,10 +23,11 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 from scipy.spatial import Delaunay, cKDTree
 
 from .formats import write_obj
-from .polygon import MarkedPolygon, boundary_distance_many, contains_many
+from .polygon import MarkedPolygon, _lock, boundary_distance_many, contains_many
 
 VERTEX_RADIUS = 0.3
 MIN_ANGLE_DEG = 20.0
@@ -40,12 +41,6 @@ class MeshFailure(RuntimeError):
 
 class OutsideDomain(ValueError):
     pass
-
-
-def _lock(a):
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -92,11 +87,112 @@ class TriMesh:
     def min_angle(self):
         return float(np.min(_angles(self.nodes, self.triangles)))
 
+    # Derived from the nodes and triangles on first use and cached.  A
+    # cached_property is not a field, so it stays out of __eq__ and
+    # __repr__, and it pickles with the mesh.
+
     @cached_property
     def _point_grids(self):
-        # locate_many's bucket grids, one per tolerance in use; not a
-        # field, so it stays out of __eq__ and __repr__
+        # locate_many's bucket grids, one per tolerance in use
         return {}
+
+    @cached_property
+    def _edge_owner(self):
+        """Unique undirected edges with the lowest-index triangle on each.
+
+        Edges come out sorted by endpoint pair, so callers can binary-search
+        them; the owner convention fixes which side's form an edge integral
+        uses.
+        """
+        tris = self.triangles
+        e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+        e = np.sort(e, axis=1)
+        tid = np.tile(np.arange(len(tris)), 3)
+        order = np.lexsort((tid, e[:, 1], e[:, 0]))
+        e, tid = e[order], tid[order]
+        first = np.ones(len(e), dtype=bool)
+        first[1:] = (np.diff(e[:, 0]) != 0) | (np.diff(e[:, 1]) != 0)
+        return _lock(e[first]), _lock(tid[first])
+
+    @cached_property
+    def _free_assembly(self):
+        # the Newton Hessian's scatter onto the interior nodes
+        return _build_free_assembly(self)
+
+
+class _FreeAssembly(NamedTuple):
+    """Assembly of per-triangle 3 x 3 blocks into the free-node matrix.
+
+    Block entry (t, k, l), flat index 9 t + 3 k + l, belongs at row
+    ``triangles[t, k]`` and column ``triangles[t, l]``; the free-node
+    matrix keeps the interior rows and columns.  Stored entry j is the
+    sum of the flat entries ``head[0, j]`` and ``head[1, j]`` and, when
+    j = ``long[i]`` has more than two, of ``tail[:, i]``, in the order in
+    which scipy's COO -> CSR conversion sums them.  An off-diagonal entry
+    sums the two triangles on its edge, a diagonal one the node's star.
+    Shorter lists are padded with the index 9T, which ``matrix`` reads as
+    -0.0; since x + -0.0 == x for every x, the sums are bit for bit
+    scipy's.  ``diag`` holds the positions of the diagonal entries.
+    """
+    head: np.ndarray
+    long: np.ndarray
+    tail: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    diag: np.ndarray
+
+    def matrix(self, block):
+        """The free-node CSR matrix of ``block`` (shape (T, 3, 3)) and its
+        diagonal, equal to ``coo_matrix(...).tocsr()[free][:, free]`` in
+        data, indices and indptr."""
+        flat = np.append(block.ravel(), -0.0)
+        data = flat.take(self.head[0]) + flat.take(self.head[1])
+        for row in flat.take(self.tail):
+            data[self.long] += row
+        n = len(self.indptr) - 1
+        return (sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n)),
+                data[self.diag])
+
+
+def _build_free_assembly(mesh):
+    tris = mesh.triangles
+    n = len(mesh.nodes)
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    # COO -> CSR places each row's entries in input order; sorting the
+    # columns within a row then compares column keys only, so passing
+    # entry numbers through scipy's own sort reads off the permutation it
+    # applies to any values on this pattern
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    csr = sparse.csr_matrix((order.astype(float), cols[order], indptr), shape=(n, n))
+    csr.sort_indices()
+    entry = csr.data.astype(np.intp)
+    row = rows[entry]
+    col = csr.indices
+    # runs of equal (row, col) are the duplicates that scipy sums left to right
+    start = np.ones(len(entry), dtype=bool)
+    start[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+    run = np.cumsum(start) - 1
+    first = np.flatnonzero(start)
+    pos = np.arange(len(entry)) - first[run]
+    free = mesh.interior_mask()
+    keep = free[row[first]] & free[col[first]]
+    gather = np.full((max(pos.max() + 1, 3), len(first)), len(entry), dtype=np.intp)
+    gather[pos, run] = entry
+    gather = gather[:, keep]
+    long = np.flatnonzero(gather[2] != len(entry))
+    renum = np.cumsum(free) - 1
+    frow = renum[row[first][keep]]
+    fcol = renum[col[first][keep]]
+    nf = int(free.sum())
+    findptr = np.zeros(nf + 1, dtype=np.int32)
+    np.cumsum(np.bincount(frow, minlength=nf), out=findptr[1:])
+    # int32 halves what every mesh keeps, and take() indexes with it at
+    # full speed
+    return _FreeAssembly(*(_lock(a.astype(np.int32)) for a in (
+        gather[:2], long, gather[2:, long], fcol, findptr, np.flatnonzero(frow == fcol))))
 
 
 def sizing(p, pts, h, g):

@@ -61,7 +61,9 @@ class UndecidedLimit(PolygonError):
 
 
 def _lock(a):
-    a = np.ascontiguousarray(a, dtype=float)
+    """Read-only contiguous array, shared by the immutable results of
+    every module."""
+    a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
 

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +156,35 @@ def test_path_independence_within_defect(square_js, square_field):
     ]
     for a, b in pairs:
         assert abs(flux(square_js, a) - flux(square_js, b)) <= square_field.loop_defect
+
+
+def test_edge_owner_cached_and_survives_pickling(square_js):
+    mesh = square_js.mesh
+    edges, owner = mesh._edge_owner
+    assert not edges.flags.writeable and not owner.flags.writeable
+    assert "_edge_owner" not in repr(mesh)
+    # every undirected edge once, in endpoint order, with its lowest triangle
+    lowest = {}
+    for t, tri in enumerate(mesh.triangles.tolist()):
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            lowest.setdefault((min(a, b), max(a, b)), t)
+    keys = sorted(lowest)
+    assert edges.tolist() == [list(k) for k in keys]
+    assert owner.tolist() == [lowest[k] for k in keys]
+
+    chords = [[(0.2, 0.3), (0.7, 0.6)], [(0.1, 0.9), (0.5, 0.5), (0.9, 0.2)]]
+
+    def outputs(sol):
+        rows = edge_flux_report(sol)
+        return ([flux(sol, c) for c in chords], [(r.flux, r.defect) for r in rows],
+                conjugate_function(sol).psi)
+
+    want = outputs(square_js)
+    copy = pickle.loads(pickle.dumps(square_js))
+    assert "_edge_owner" in vars(copy.mesh)
+    got = outputs(copy)
+    assert got[0] == want[0] and got[1] == want[1]
+    assert np.array_equal(got[2], want[2])
 
 
 def test_degenerate_path_has_zero_flux(square_js):

@@ -1,14 +1,20 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import cg as scipy_cg
 
-from towerlab.polygon import unit_square, regular_polygon, split_rectangle, area, is_special
+from towerlab.polygon import (
+    unit_square, regular_polygon, split_rectangle, near_special_hexagon, area, is_special,
+)
 from towerlab import jssolver
 from towerlab.meshing import triangulate, refine, OutsideDomain
 from towerlab.jssolver import (
     solve_capped,
     solve_js,
+    last_capped,
     energy,
     zero_data_energy,
     boundary_values,
@@ -115,6 +121,112 @@ def test_solver_failures_name_the_cap(monkeypatch):
         solve_capped(m, 4.0)
     with pytest.raises(LinearSolveFailure, match="Newton .* at cap 5$"):
         solve_capped(m, 5.0, u0=np.zeros(len(m.nodes)))
+
+
+# The COO assembly that the mesh's free-node plan replaced, kept as the
+# reference: scipy sums the duplicate entries of the per-triangle blocks.
+
+def _coo(mesh, block):
+    tris = mesh.triangles
+    n = len(mesh.nodes)
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    return sparse.coo_matrix((block.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _newton_start(mesh, M=3.0):
+    """Geometry, the harmonic start at cap M and the Hessian blocks there."""
+    geom = jssolver._geometry(mesh)
+    area_, gp, dots = geom
+    u = jssolver._harmonic_extension(mesh, boundary_values(mesh, M), geom)
+    grad, g, W = jssolver._energy_gradient(mesh, u, geom)
+    gphi = np.einsum("td,tkd->tk", g, gp)
+    block = (area_ / W)[:, None, None] * dots \
+        - (area_ / W ** 3)[:, None, None] * gphi[:, :, None] * gphi[:, None, :]
+    return geom, grad, block
+
+
+@pytest.mark.parametrize("domain,h", [
+    (regular_polygon(3), 0.1), (unit_square(), 0.05), (near_special_hexagon(0.05), 0.05),
+], ids=["hexagon", "square", "near-special"])
+def test_planned_hessian_equals_coo_assembly(domain, h):
+    mesh = triangulate(domain, h=h, g=0.25)
+    free = np.flatnonzero(mesh.interior_mask())
+    _, _, block = _newton_start(mesh)
+    noise = np.random.default_rng(5).standard_normal(block.shape)
+    # the plan depends on the pattern only, so any values sum as scipy's do
+    for values in (block, noise):
+        want = _coo(mesh, values)[free][:, free]
+        got, diag = mesh._free_assembly.matrix(values)
+        assert np.array_equal(got.data, want.data)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(diag, want.diagonal())
+
+
+@pytest.mark.parametrize("domain", [regular_polygon(3), unit_square()], ids=["hexagon", "square"])
+def test_cg_equals_scipy_bitwise(domain):
+    mesh = triangulate(domain, h=0.1, g=0.5)
+    n = len(mesh.nodes)
+    free = np.flatnonzero(mesh.interior_mask())
+    bidx = mesh.boundary_nodes()
+    (area_, _, dots), grad, block = _newton_start(mesh)
+    K = _coo(mesh, dots * area_[:, None, None])
+    H = _coo(mesh, block)[free][:, free]
+    dinv = 1.0 / np.where(H.diagonal() > 0, H.diagonal(), 1.0)
+    systems = [(K[free][:, free], -K[free][:, bidx] @ boundary_values(mesh, 3.0), None),
+               (H, -grad[free], dinv)]
+    for A, b, dinv in systems:
+        precond = None if dinv is None else sparse.diags(dinv)
+        for maxiter in (20 * n, 5):
+            seen = []
+            got = jssolver.cg(A, b, rtol=1e-10, atol=0.0, maxiter=maxiter, M=dinv,
+                              callback=lambda x: seen.append(x.copy()))
+            want_seen = []
+            want = scipy_cg(A, b, rtol=1e-10, atol=0.0, maxiter=maxiter, M=precond,
+                            callback=lambda x: want_seen.append(x.copy()))
+            assert got[1] == want[1]
+            assert np.array_equal(got[0], want[0])
+            assert len(seen) == len(want_seen)
+            assert all(np.array_equal(s, t) for s, t in zip(seen, want_seen))
+        # the iteration cap runs out at 5 and says so
+        assert got[1] == 5
+    zero = jssolver.cg(A, np.zeros(A.shape[0]), rtol=1e-10)
+    assert zero[1] == 0 and not zero[0].any()
+
+
+def test_solve_js_pinned_digest(hex_js):
+    # sha256 of u as computed with scipy's cg and the COO Hessian
+    assert hashlib.sha256(hex_js.u.tobytes()).hexdigest() == (
+        "99a8dcf17a9a55fe1d39645f89f7af8ac3b0393d681b36ad83614b6699164c8b")
+
+
+def test_linear_iterations_sum_newton_cg(hex_mesh, hex_js, monkeypatch):
+    newton = []
+    real = jssolver.cg
+
+    def counting(A, b, **kw):
+        seen = [0]
+        inner = kw.get("callback")
+
+        def count(x):
+            seen[0] += 1
+            if inner is not None:
+                inner(x)
+
+        out = real(A, b, **{**kw, "callback": count})
+        if kw.get("M") is not None:
+            newton.append(seen[0])
+        return out
+
+    monkeypatch.setattr(jssolver, "cg", counting)
+    sol = solve_capped(hex_mesh, 3.0)
+    assert len(newton) == sol.report.iterations
+    assert sol.report.linear_iterations == sum(newton) > sol.report.iterations
+    monkeypatch.undo()
+    # solve_js carries the count of the cap it stops at
+    ladder = last_capped(hex_mesh, caps=hex_js.report.cap_trace)
+    assert hex_js.report.linear_iterations == ladder[-1].report.linear_iterations
 
 
 def test_solve_js_cap_validation(hex_mesh):
