@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_matvec
 
 from .formats import write_json, write_obj
 from .meshing import TriMesh, locate, locate_many
@@ -148,12 +149,14 @@ def _hessian(mesh, g, W, geom):
 
 
 def cg(A, b, *, rtol=1e-5, atol=0.0, maxiter=None, M=None, callback=None):
-    """Conjugate gradients for a symmetric positive definite ``A``.
+    """Conjugate gradients for a symmetric positive definite CSR ``A``.
 
     The arithmetic of ``scipy.sparse.linalg.cg`` (scipy 1.17) from a zero
     start, operation for operation, so iterates and ``info`` are bit for
-    bit scipy's, without its operator wrappers.  ``M`` is the inverse of
-    the Jacobi diagonal as a vector, or None for no preconditioner.
+    bit scipy's, without its operator wrappers.  Products call
+    ``csr_matvec``, the kernel behind ``A @ p``, into a zeroed vector as
+    ``@`` does, without its dispatch.  ``M`` is the inverse of the Jacobi
+    diagonal as a vector, or None for no preconditioner.
     Returns ``(x, info)``: info is 0 on convergence to
     ``max(atol, rtol * |b|)`` and ``maxiter`` when the iterations ran out.
     ``callback(x)`` runs after every iteration.
@@ -162,9 +165,11 @@ def cg(A, b, *, rtol=1e-5, atol=0.0, maxiter=None, M=None, callback=None):
     atol = max(float(atol), float(rtol) * bnrm2)
     if bnrm2 == 0:
         return b.copy(), 0
+    n = len(b)
     if maxiter is None:
-        maxiter = 10 * len(b)
-    x = np.zeros(len(b))
+        maxiter = 10 * n
+    x = np.zeros(n)
+    q = np.empty(n)
     r = b.copy()
     p = None
     rho_prev = None
@@ -178,7 +183,8 @@ def cg(A, b, *, rtol=1e-5, atol=0.0, maxiter=None, M=None, callback=None):
             p += z
         else:
             p = z.copy()
-        q = A @ p
+        q.fill(0.0)
+        csr_matvec(n, n, A.indptr, A.indices, A.data, p, q)
         alpha = rho / p.dot(q)
         x += alpha * p
         r -= alpha * q

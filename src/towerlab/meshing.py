@@ -7,9 +7,12 @@ spacings halve until they resolve the local target length
     l(x) = h * max(g, min(1, d(x) / 0.3))
 
 with d the distance to the nearest polygon vertex.  A fixed number of
-Laplacian smoothing sweeps (re-triangulating each time) relaxes the lattice
-seams.  Everything is deterministic in (polygon, h, g): no randomness, node
-order is boundary-first in arc order, then interior sorted by (y, x).
+Laplacian and ODT smoothing sweeps relaxes the lattice seams.  Each sweep
+runs on the Delaunay triangulation of the nodes it starts from: Qhull
+builds it on the first sweep, and later sweeps repair the previous one by
+edge flips, handing back to Qhull wherever four nodes are cocircular to
+rounding.  Everything is deterministic in (polygon, h, g): no randomness,
+node order is boundary-first in arc order, then interior sorted by (y, x).
 
 Meshes refuse to exist below 20 degrees of minimum angle; refinement splits
 1 -> 4 by edge midpoints and keeps parent nodes as a prefix.
@@ -33,6 +36,13 @@ VERTEX_RADIUS = 0.3
 MIN_ANGLE_DEG = 20.0
 SMOOTH_SWEEPS = 24
 BOUNDARY_MARGIN = 0.5
+# triangles with twice the area at most this are degenerate slivers
+SLIVER_AREA2 = 1e-14
+# an edge is tied when its incircle determinant is at most this times the
+# determinant's permanent; rounding alone moves it by about 1.1e-15 times
+TIE_RTOL = 1e-10
+# a safety net: the shipped meshes settle in at most two rounds of flips
+MAX_FLIP_ROUNDS = 100
 
 
 class MeshFailure(RuntimeError):
@@ -80,9 +90,7 @@ class TriMesh:
         return mask
 
     def triangle_areas(self):
-        a, b, c = (self.nodes[self.triangles[:, k]] for k in range(3))
-        return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                      - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+        return 0.5 * _area2(self.nodes, self.triangles)
 
     def min_angle(self):
         return float(np.min(_angles(self.nodes, self.triangles)))
@@ -380,22 +388,122 @@ def _interior_nodes(p, h, g, bnd):
     return pts[order]
 
 
-def _delaunay_triangles(nodes):
-    tri = Delaunay(nodes)
-    simplices = np.array(tri.simplices, dtype=np.int64)
-    a, b, c = (nodes[simplices[:, k]] for k in range(3))
-    area2 = ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-             - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
-    flip = area2 < 0
-    simplices[flip] = simplices[flip][:, ::-1]
-    # drop exactly degenerate slivers from collinear boundary runs
-    keep = np.abs(area2) > 1e-14
-    simplices = simplices[keep]
+def _canonical(simplices):
+    # each triangle rolled to start at its lowest node, then rows sorted,
+    # so equal triangle sets give equal bytes however they were built
     roll = np.argmin(simplices, axis=1)
     rolled = np.stack([simplices[np.arange(len(simplices)), (roll + k) % 3]
                        for k in range(3)], axis=1)
     order = np.lexsort((rolled[:, 2], rolled[:, 1], rolled[:, 0]))
     return rolled[order]
+
+
+def _area2(nodes, tris):
+    a, b, c = (nodes[tris[:, k]] for k in range(3))
+    return ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+            - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+
+
+def _delaunay_triangles(nodes):
+    simplices = np.array(Delaunay(nodes).simplices, dtype=np.int64)
+    area2 = _area2(nodes, simplices)
+    flip = area2 < 0
+    simplices[flip] = simplices[flip][:, ::-1]
+    # drop exactly degenerate slivers from collinear boundary runs
+    return _canonical(simplices[np.abs(area2) > SLIVER_AREA2])
+
+
+def _interior_edges(tris):
+    """Edges shared by two triangles, as half-edge indices and quads.
+
+    Half-edge 3 t + k runs from ``tris[t, k]`` to ``tris[t, k + 1]``.  For
+    each interior edge, ``h1`` is the half-edge a -> b of one triangle and
+    ``h2`` the half-edge b -> a of the other; the quad is (a, b, c, d) with
+    c opposite the edge in ``h1``'s triangle and d in ``h2``'s.
+    """
+    a = tris.ravel()
+    b = tris[:, [1, 2, 0]].ravel()
+    opp = tris[:, [2, 0, 1]].ravel()
+    key = np.minimum(a, b) * (int(a.max()) + 1) + np.maximum(a, b)
+    order = np.argsort(key)
+    pair = np.flatnonzero(key[order[1:]] == key[order[:-1]])
+    h1, h2 = order[pair], order[pair + 1]
+    return h1, h2, np.stack([a[h1], b[h1], opp[h1], opp[h2]], axis=1)
+
+
+def _incircle(nodes, quads):
+    """Shewchuk's incircle determinant of each quad (a, b, c, d), positive
+    when d lies inside the circle through the counterclockwise a, b, c,
+    and its permanent, which bounds the determinant's rounding error."""
+    x, y = nodes[:, 0], nodes[:, 1]
+    i, j, k, m = quads.T
+    adx, ady = x[i] - x[m], y[i] - y[m]
+    bdx, bdy = x[j] - x[m], y[j] - y[m]
+    cdx, cdy = x[k] - x[m], y[k] - y[m]
+    alift = adx * adx + ady * ady
+    blift = bdx * bdx + bdy * bdy
+    clift = cdx * cdx + cdy * cdy
+    bc, cb = bdx * cdy, cdx * bdy
+    ca, ac = cdx * ady, adx * cdy
+    ab, ba = adx * bdy, bdx * ady
+    det = alift * (bc - cb) + blift * (ca - ac) + clift * (ab - ba)
+    perm = (alift * (np.abs(bc) + np.abs(cb)) + blift * (np.abs(ca) + np.abs(ac))
+            + clift * (np.abs(ab) + np.abs(ba)))
+    return det, perm
+
+
+def _tied(nodes, quads):
+    det, perm = _incircle(nodes, quads)
+    return np.abs(det) <= TIE_RTOL * perm
+
+
+_NO_TIES = np.empty((0, 4), dtype=np.int64)
+
+
+def _retriangulate(nodes, tris, ties):
+    """Delaunay triangles of ``nodes``, updated from the previous ones.
+
+    Lawson flips repair ``tris``, the previous sweep's triangles, until no
+    interior edge is clearly non-Delaunay.  An edge is decided when its
+    incircle determinant clears ``TIE_RTOL`` times its permanent, far
+    above the determinant's rounding error (Shewchuk 1997).  Off ties the
+    Delaunay triangulation is unique, so the result then equals Qhull's
+    and, once canonical, its bytes.  Qhull builds from scratch when there
+    are no previous triangles, when one of them no longer has positive
+    area, when the flips do not settle in ``MAX_FLIP_ROUNDS`` rounds, and
+    when some edge is tied; it then decides the tie as it always has.
+    ``ties`` are the tied quads of the last such fallback: while any is
+    still tied, Qhull runs at once, so meshes with exact symmetric ties
+    skip a check pass that would end in Qhull anyway.
+
+    Returns the canonical triangles and the tie quads to pass on.
+    """
+    if tris is None or _tied(nodes, ties).any():
+        return _delaunay_triangles(nodes), ties
+    tris = tris.copy()
+    for _ in range(MAX_FLIP_ROUNDS):
+        if (_area2(nodes, tris) <= SLIVER_AREA2).any():
+            break
+        h1, h2, quads = _interior_edges(tris)
+        det, perm = _incircle(nodes, quads)
+        tied = np.abs(det) <= TIE_RTOL * perm
+        if tied.any():
+            return _delaunay_triangles(nodes), quads[tied]
+        bad = np.flatnonzero(det > 0)
+        if len(bad) == 0:
+            return _canonical(tris), _NO_TIES
+        # flip the bad edges that claim both their triangles first, an
+        # independent set that always holds the lowest bad edge
+        t1, t2 = h1[bad] // 3, h2[bad] // 3
+        rank = np.arange(len(bad))
+        claim = np.full(len(tris), len(bad))
+        np.minimum.at(claim, t1, rank)
+        np.minimum.at(claim, t2, rank)
+        free = (claim[t1] == rank) & (claim[t2] == rank)
+        a, b, c, d = quads[bad[free]].T
+        tris[t1[free]] = np.stack([c, a, d], axis=1)
+        tris[t2[free]] = np.stack([d, b, c], axis=1)
+    return _delaunay_triangles(nodes), _NO_TIES
 
 
 def _node_orbits(p, nodes):
@@ -434,64 +542,77 @@ def _symmetrize(pts, n_bnd, origin, maps):
     return out
 
 
-def _laplacian_sweeps(pts, n_bnd, sweeps, origin, maps):
-    for _ in range(sweeps):
-        tris = _delaunay_triangles(pts)
-        neigh_sum = np.zeros_like(pts)
-        neigh_cnt = np.zeros(len(pts))
-        for k in range(3):
-            i = tris[:, k]
-            for m in (1, 2):
-                j = tris[:, (k + m) % 3]
-                np.add.at(neigh_sum, i, pts[j])
-                np.add.at(neigh_cnt, i, 1.0)
-        target = neigh_sum / np.maximum(neigh_cnt, 1.0)[:, None]
-        move = target - pts
-        move[:n_bnd] = 0.0
-        pts = _symmetrize(pts + 0.7 * move, n_bnd, origin, maps)
-    return pts
+def _laplacian_step(pts, tris, n_bnd):
+    neigh_sum = np.zeros_like(pts)
+    neigh_cnt = np.zeros(len(pts))
+    for k in range(3):
+        i = tris[:, k]
+        for m in (1, 2):
+            j = tris[:, (k + m) % 3]
+            np.add.at(neigh_sum, i, pts[j])
+            np.add.at(neigh_cnt, i, 1.0)
+    target = neigh_sum / np.maximum(neigh_cnt, 1.0)[:, None]
+    move = target - pts
+    move[:n_bnd] = 0.0
+    return pts + 0.7 * move
 
 
-def _odt_sweeps(p, pts, n_bnd, sweeps, origin, maps):
+def _odt_step(p, pts, tris, n_bnd):
     # move interior nodes to the area-weighted average of incident
     # circumcenters; equalizes shapes where plain averaging stalls
-    for _ in range(sweeps):
-        tris = _delaunay_triangles(pts)
-        a, b, c = pts[tris[:, 0]], pts[tris[:, 1]], pts[tris[:, 2]]
-        d = 2.0 * ((a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1])
-                   - (a[:, 1] - c[:, 1]) * (b[:, 0] - c[:, 0]))
-        a2 = (a * a).sum(1) - (c * c).sum(1)
-        b2 = (b * b).sum(1) - (c * c).sum(1)
-        cc = np.stack([((b[:, 1] - c[:, 1]) * a2 - (a[:, 1] - c[:, 1]) * b2) / d,
-                       (-(b[:, 0] - c[:, 0]) * a2 + (a[:, 0] - c[:, 0]) * b2) / d],
-                      axis=1)
-        area = np.abs(d) / 4.0
-        acc = np.zeros_like(pts)
-        w = np.zeros(len(pts))
-        for k in range(3):
-            np.add.at(acc, tris[:, k], area[:, None] * cc)
-            np.add.at(w, tris[:, k], area)
-        target = acc / np.maximum(w, 1e-30)[:, None]
-        moved = pts.copy()
-        moved[n_bnd:] = target[n_bnd:]
-        outside = ~contains_many(p, moved[n_bnd:], tol=-1e-12)
-        moved[n_bnd:][outside] = pts[n_bnd:][outside]
-        pts = _symmetrize(moved, n_bnd, origin, maps)
-    return pts
+    a, b, c = pts[tris[:, 0]], pts[tris[:, 1]], pts[tris[:, 2]]
+    d = 2.0 * ((a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1])
+               - (a[:, 1] - c[:, 1]) * (b[:, 0] - c[:, 0]))
+    a2 = (a * a).sum(1) - (c * c).sum(1)
+    b2 = (b * b).sum(1) - (c * c).sum(1)
+    cc = np.stack([((b[:, 1] - c[:, 1]) * a2 - (a[:, 1] - c[:, 1]) * b2) / d,
+                   (-(b[:, 0] - c[:, 0]) * a2 + (a[:, 0] - c[:, 0]) * b2) / d],
+                  axis=1)
+    area = np.abs(d) / 4.0
+    acc = np.zeros_like(pts)
+    w = np.zeros(len(pts))
+    for k in range(3):
+        np.add.at(acc, tris[:, k], area[:, None] * cc)
+        np.add.at(w, tris[:, k], area)
+    target = acc / np.maximum(w, 1e-30)[:, None]
+    moved = pts.copy()
+    moved[n_bnd:] = target[n_bnd:]
+    outside = ~contains_many(p, moved[n_bnd:], tol=-1e-12)
+    moved[n_bnd:][outside] = pts[n_bnd:][outside]
+    return moved
 
 
-def _smooth(p, nodes, n_bnd, h, g, sweeps):
+def _smooth(p, nodes, n_bnd, sweeps):
+    """Laplacian sweeps, then ODT sweeps, each on the Delaunay triangles of
+    the nodes it starts from; returns the nodes and their triangles.
+
+    The triangles and the tie quads pass from sweep to sweep, so that
+    ``_retriangulate`` repairs the last triangulation rather than
+    rebuilding it.
+    """
     origin, maps = _node_orbits(p, nodes)
     n_lap = max(1, sweeps // 2 - 2)
-    pts = _laplacian_sweeps(nodes.copy(), n_bnd, n_lap, origin, maps)
-    return _odt_sweeps(p, pts, n_bnd, sweeps - n_lap, origin, maps)
+    pts = nodes.copy()
+    tris, ties = None, _NO_TIES
+    for k in range(sweeps):
+        tris, ties = _retriangulate(pts, tris, ties)
+        if k < n_lap:
+            moved = _laplacian_step(pts, tris, n_bnd)
+        else:
+            moved = _odt_step(p, pts, tris, n_bnd)
+        pts = _symmetrize(moved, n_bnd, origin, maps)
+    return pts, _retriangulate(pts, tris, ties)[0]
 
 
 def triangulate(p, h, g=1.0):
     """Build a graded quality triangulation.
 
-    Deterministic in (p, h, g).  Raises MeshFailure when the 20 degree
-    angle bound cannot be met.
+    Deterministic in (p, h, g).  The smoothing sweeps and the final build
+    take their Delaunay triangles from ``_retriangulate``: flips from the
+    previous sweep's triangles, and Qhull on the first sweep, on inverted
+    triangles and on ties.  Off ties the two agree byte for byte, so the
+    mesh is the one Qhull alone would give.  Raises MeshFailure when the
+    20 degree angle bound cannot be met.
     """
     if not 0 < g <= 1:
         raise MeshFailure(f"grading factor {g} outside (0, 1]")
@@ -501,15 +622,13 @@ def triangulate(p, h, g=1.0):
     interior = _interior_nodes(p, h, g, bnd)
     nodes = np.vstack([bnd, interior]) if len(interior) else bnd.copy()
     n_bnd = len(bnd)
-    nodes = _smooth(p, nodes, n_bnd, h, g, SMOOTH_SWEEPS)
-    tris = _delaunay_triangles(nodes)
+    nodes, tris = _smooth(p, nodes, n_bnd, SMOOTH_SWEEPS)
 
     mesh = _assemble(p, h, g, nodes, tris, counts)
     worst = mesh.min_angle()
     if worst < MIN_ANGLE_DEG:
         # a few extra relaxation rounds, then give up honestly
-        nodes = _smooth(p, nodes, n_bnd, h, g, SMOOTH_SWEEPS)
-        tris = _delaunay_triangles(nodes)
+        nodes, tris = _smooth(p, nodes, n_bnd, SMOOTH_SWEEPS)
         mesh = _assemble(p, h, g, nodes, tris, counts)
         worst = mesh.min_angle()
         if worst < MIN_ANGLE_DEG:
@@ -677,16 +796,21 @@ def locate_many(mesh, pts, tol=1e-10):
     triangle size outside the domain's edges are located.  Among the
     triangles that contain a point, the lowest index wins; on shared edges
     and at vertex stars that tie rule decides which triangle's data a
-    caller sees.  Raises OutsideDomain, naming the first such point, when
-    a point (NaN and infinite ones included) lies in no triangle.
+    caller sees.  That margin shrinks with the triangles at graded
+    corners, so a point that no triangle holds gets a second, absolute
+    margin: the lowest-index triangle whose three edge lines it lies
+    within ``tol`` of, in length.  Raises OutsideDomain, naming the first
+    such point, when a point (NaN and infinite ones included) lies in
+    neither margin of any triangle.
 
     Candidates come from a uniform bucket grid over the triangles'
     bounding boxes, padded to cover the ``-tol`` margin, with cells about
     1.5 mean triangle sizes wide.  The grid is built on the first call for
     each ``tol``, in a few array passes over the triangles, and cached on
     the mesh; a call then costs the points times the triangles per cell.
-    Every candidate is tested with the scan's own formulas, so the result
-    equals a scan over all triangles, barycentrics bit for bit.
+    Every candidate is tested with the scan's own formulas, so a point in
+    the barycentric margin gets what a scan over all triangles gives it,
+    barycentrics bit for bit.
     """
     pts = np.asarray(pts, dtype=float)
     out_idx = np.empty(len(pts), dtype=np.int64)
@@ -719,14 +843,52 @@ def locate_many(mesh, pts, tol=1e-10):
         # first hit of each point is its lowest-index triangle
         first = hit[np.diff(pt[hit], prepend=-1) != 0]
         found = pt[first]
+        out_idx[s + found] = t[first]
+        out_bary[s + found] = np.stack([l0[first], l1[first], l2[first]], axis=1)
         if len(found) < len(block):
-            located = np.zeros(len(block), dtype=bool)
-            located[found] = True
-            r = int(np.argmin(located))
-            raise OutsideDomain(f"point {tuple(block[r])} outside the mesh")
-        out_idx[s:s + len(block)] = t[first]
-        out_bary[s:s + len(block)] = np.stack([l0[first], l1[first], l2[first]], axis=1)
+            missed = np.ones(len(block), dtype=bool)
+            missed[found] = False
+            for r in np.flatnonzero(missed):
+                near = _locate_near(grid, block[r], tol)
+                if near is None:
+                    raise OutsideDomain(f"point {tuple(block[r])} outside the mesh")
+                out_idx[s + r], out_bary[s + r] = near
     return out_idx, out_bary
+
+
+def _locate_near(grid, q, tol):
+    """The lowest-index triangle whose three edge lines ``q`` lies within
+    ``tol`` of, in length, and its barycentrics; None when there is none.
+
+    Triangles that close pass their padded boxes through one of the 3 x 3
+    cells around ``q``'s, since ``tol`` is far below a cell width.
+    """
+    f = np.floor((q - grid.origin) / grid.cell)
+    if not np.isfinite(f).all():
+        return None
+    lo = np.maximum(f - 1, 0).astype(np.int64)
+    hi = np.minimum(f + 1, grid.shape - 1).astype(np.int64)
+    if (lo > hi).any():
+        return None
+    cand = np.unique(np.concatenate([
+        grid.tri[grid.indptr[k]:grid.indptr[k + 1]]
+        for iy in range(lo[1], hi[1] + 1)
+        for k in range(iy * grid.shape[0] + lo[0], iy * grid.shape[0] + hi[0] + 1)]))
+    g = grid.coef[cand]
+    dx = q[0] - g[:, 0]
+    dy = q[1] - g[:, 1]
+    l1 = (g[:, 2] * dx - g[:, 3] * dy) / g[:, 6]
+    l2 = (g[:, 4] * dx + g[:, 5] * dy) / g[:, 6]
+    l0 = 1.0 - l1 - l2
+    # a barycentric times det over the opposite edge's length is the
+    # signed distance to that edge's line
+    ok = ((l0 * g[:, 6] >= -tol * np.hypot(g[:, 3] - g[:, 5], g[:, 2] + g[:, 4]))
+          & (l1 * g[:, 6] >= -tol * np.hypot(g[:, 3], g[:, 2]))
+          & (l2 * g[:, 6] >= -tol * np.hypot(g[:, 5], g[:, 4])))
+    if not ok.any():
+        return None
+    j = int(np.argmax(ok))
+    return cand[j], (l0[j], l1[j], l2[j])
 
 
 def mesh_to_obj(mesh, path, comment=None):

@@ -5,7 +5,9 @@ fine-mesh numbers live with the acceptance tests.  Determinism is
 checked at the byte level on every artifact a rerun touches.
 """
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,3 +336,46 @@ def test_error_record_shape():
     rec = error_record(OutsideDomain("point (2, 2) outside the mesh"))
     assert rec == {"error": "OutsideDomain", "module": "meshing",
                    "message": "point (2, 2) outside the mesh"}
+
+
+# ---------------------------------------------------------------------------
+# shipped configs
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# sha256 of every artifact each shipped config writes.  Performance work
+# must reproduce these bytes exactly; ROADMAP item 9 will re-pin them as a
+# declared change of what the artifacts record.
+SHIPPED_ARTIFACTS = {
+    "hexagon_collapse": {
+        "report.json": "0d3142268c5326d3444927900fb7f0b640cb2e34f0c49fd08d2dc63848a764ba",
+        "samples.csv": "57249ee9d7a236290de61708608a631d2c3d332b2df7a2c09526c2c5e9662f53",
+        "sequence.csv": "da95226a274a0c047ff2e4789bf959e29b1f9b9f216e433b3ec23d1cb13afc0f",
+    },
+    "octagon_export": {
+        "mesh.obj": "732dff503872cb931697823d10eb1aee006d647a637fdfd6051dbe506c0d4fb9",
+    },
+    "square_compare": {
+        "compare.csv": "10d952da89b362acf0d4ee04c63f69b4399c1d1b3c467c6c89058b5575ad5cdb",
+        "report.json": "8f205c0201e5852a93a8faf1b914f7fdd24750010ad6ed24b57c9ca7ec58d466",
+    },
+    "square_flux": {
+        "flux.csv": "99a270a1fb83681d9c436ffaa4f5df11962b02ff8e5ddb53838f587331bf3c27",
+    },
+    "square_solve": {
+        "conjugate.obj": "a0a58ab76c9bb1d03c8ed2eb58520fadd66f6e7cdf86aa8f694a47724632a657",
+        "graph.obj": "11a12452076c18b0cc246dc23b9e0853778cbc11e502a8bf0dc1264229c52aa1",
+        "period.json": "644fd0e232e36486f95f7f889626a5cfbe95f206d5eee6c6bde790ef217fc3ca",
+        "report.json": "677fafd7ed98547c9c78ffadfdd1412a84892f3ce600c52a5a5c062556d822c6",
+        "tower.obj": "93716df2b2dea0f0bfb900f819415d7ff3e5196d9f41a4499b09c1f90b302035",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_ARTIFACTS))
+def test_shipped_config_artifacts_pinned(name, tmp_path):
+    path = CONFIGS / f"{name}.cfg"
+    out = tmp_path / name
+    assert main([load_config(str(path)).mode, "--config", str(path), "--out", str(out)]) == 0
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    assert got == SHIPPED_ARTIFACTS[name]

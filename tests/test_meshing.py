@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from towerlab import meshing
 from towerlab.meshing import (
     MeshFailure,
     OutsideDomain,
@@ -158,13 +159,20 @@ def test_locate_many_matches_scalar(square_mesh):
         assert np.array_equal(b, bary[k])
 
 
-def _scan(mesh, pts, tol=1e-10):
-    """Every point against every triangle; -1 where none contains it."""
+def _scan(mesh, pts, tol=1e-10, absolute=False):
+    """Every point against every triangle; -1 where none contains it.
+
+    With ``absolute``, a triangle contains the points within ``tol`` of its
+    three edge lines rather than those with barycentrics above ``-tol``.
+    """
     tris = mesh.triangles
     a = mesh.nodes[tris[:, 0]]
     b = mesh.nodes[tris[:, 1]]
     c = mesh.nodes[tris[:, 2]]
     det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    ca, ba = c - a, b - a
+    # lengths of the edges opposite a, b and c
+    opp = [np.hypot(*(ca - ba).T), np.hypot(*ca.T), np.hypot(*ba.T)]
     idx = np.full(len(pts), -1, dtype=np.int64)
     bary = np.full((len(pts), 3), np.nan)
     for s in range(0, len(pts), 256):
@@ -174,7 +182,11 @@ def _scan(mesh, pts, tol=1e-10):
         l1 = ((c[:, 1] - a[:, 1])[None, :] * dx - (c[:, 0] - a[:, 0])[None, :] * dy) / det[None, :]
         l2 = (-(b[:, 1] - a[:, 1])[None, :] * dx + (b[:, 0] - a[:, 0])[None, :] * dy) / det[None, :]
         l0 = 1.0 - l1 - l2
-        ok = (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
+        if absolute:
+            ok = ((l0 * det >= -tol * opp[0]) & (l1 * det >= -tol * opp[1])
+                  & (l2 * det >= -tol * opp[2]))
+        else:
+            ok = (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
         for r in range(len(block)):
             hits = np.flatnonzero(ok[r])
             if len(hits):
@@ -184,6 +196,14 @@ def _scan(mesh, pts, tol=1e-10):
     return idx, bary
 
 
+def _wall_points(mesh, offset):
+    # boundary segment midpoints pushed outward (boundary runs CCW)
+    p, q = mesh.nodes[mesh.bnd_edges[:, 0]], mesh.nodes[mesh.bnd_edges[:, 1]]
+    d = q - p
+    normal = np.stack([d[:, 1], -d[:, 0]], axis=1) / np.hypot(d[:, 0], d[:, 1])[:, None]
+    return 0.5 * (p + q) + offset * normal
+
+
 def _probe_points(mesh, rng):
     nodes, tris = mesh.nodes, mesh.triangles
     w = rng.dirichlet((1.0, 1.0, 1.0), size=300)
@@ -191,21 +211,17 @@ def _probe_points(mesh, rng):
     edges = np.unique(np.sort(np.concatenate(
         [tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1), axis=0)
     mids = 0.5 * (nodes[edges[:, 0]] + nodes[edges[:, 1]])
-    # boundary segment midpoints pushed 1e-12 outward (boundary runs CCW)
-    p, q = nodes[mesh.bnd_edges[:, 0]], nodes[mesh.bnd_edges[:, 1]]
-    d = q - p
-    normal = np.stack([d[:, 1], -d[:, 0]], axis=1) / np.hypot(d[:, 0], d[:, 1])[:, None]
-    wall = 0.5 * (p + q) + 1e-12 * normal
+    wall = _wall_points(mesh, 1e-12)
     return np.vstack([interior, nodes, mids, wall]), len(wall)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: triangulate(unit_square(), 0.05, 0.25),
-    lambda: triangulate(regular_polygon(3), 0.1, 0.5),
-    lambda: triangulate(near_special_hexagon(0.05), 0.05, 0.25),
-    lambda: refine(triangulate(unit_square(), 0.1, 0.25)),
+@pytest.mark.parametrize("make, n_missed", [
+    (lambda: triangulate(unit_square(), 0.05, 0.25), 16),
+    (lambda: triangulate(regular_polygon(3), 0.1, 0.5), 0),
+    (lambda: triangulate(near_special_hexagon(0.05), 0.05, 0.25), 28),
+    (lambda: refine(triangulate(unit_square(), 0.1, 0.25)), 0),
 ], ids=["square", "hexagon", "near-special", "refined-square"])
-def test_locate_many_matches_full_scan(make):
+def test_locate_many_matches_full_scan(make, n_missed):
     # nodes are where vertex stars tie, edge midpoints where two triangles
     # tie; the index and the barycentrics must equal the scan's bit for bit
     m = make()
@@ -214,12 +230,18 @@ def test_locate_many_matches_full_scan(make):
     found = want_idx >= 0
     assert found[:-n_wall].all()
     # the wall points inside tol carry the one-sided margin; the rest
-    # sit at corner triangles thinner than 1e-12 / tol
-    assert found[-n_wall:].sum() > n_wall // 2
-    idx, bary = locate_many(m, pts[found])
-    assert np.array_equal(idx, want_idx[found])
-    assert np.array_equal(bary, want_bary[found])
-    for q in pts[~found]:
+    # sit at graded corner triangles thinner than 1e-12 / tol
+    assert (~found).sum() == n_missed
+    idx, bary = locate_many(m, pts)
+    assert np.array_equal(idx[found], want_idx[found])
+    assert np.array_equal(bary[found], want_bary[found])
+    # those get the lowest-index triangle in the absolute margin instead
+    near_idx, near_bary = _scan(m, pts[~found], absolute=True)
+    assert (near_idx >= 0).all()
+    assert np.array_equal(idx[~found], near_idx)
+    assert np.array_equal(bary[~found], near_bary)
+    # 1e-9 outside is beyond both margins
+    for q in _wall_points(m, 1e-9)[::7]:
         with pytest.raises(OutsideDomain):
             locate(m, q)
 
@@ -293,6 +315,11 @@ PINNED_MESHES = [
     (regular_polygon, 4, 0.05, 0.25, "e637d2d4fde8912fe1ad8bfc7b115b52d205c888a6f05454f8af280b1914832a"),
     (split_rectangle, 3, 0.05, 0.25, "f79f8db028490918e4965644a2dcc4625d4654b409fe1437e2ecfcc8e6b1eca5"),
     (regular_polygon, 4, 0.1, 0.5, "5a4e37a60996d6a44596ae498fbb676262dbd3737995565d82b29a8da923cbc0"),
+    # the hexagon_collapse members, whose sweeps have no cocircular ties
+    (near_special_hexagon, 0.4, 0.05, 0.25, "ca899deacccda04eb2226dcd86f82e3c9e98e20dd3c16e679c4a1c85daf26f28"),
+    (near_special_hexagon, 0.2, 0.05, 0.25, "0e88ef8712b5daec675516d3384971ba7fdef9e40560c5a757db628622dfa5b6"),
+    (near_special_hexagon, 0.1, 0.05, 0.25, "14fd79d574b72e141aba3cca8ee95b0301d777741f1fac115de8ee66276f6b37"),
+    (near_special_hexagon, 0.05, 0.05, 0.25, "0830e980a4214fb5bc6387e97ee0384b6b97236dcf363826cf603f4e92e23e7a"),
 ]
 
 
@@ -306,6 +333,104 @@ def test_pinned_square_mesh_bytes(square_fine_mesh):
 
 
 @pytest.mark.parametrize("make, n, h, g, digest", PINNED_MESHES,
-                         ids=["hexagon", "octagon", "split3", "octagon-coarse"])
+                         ids=["hexagon", "octagon", "split3", "octagon-coarse",
+                              "near-special-0.4", "near-special-0.2",
+                              "near-special-0.1", "near-special-0.05"])
 def test_pinned_mesh_bytes(make, n, h, g, digest):
     assert _mesh_digest(triangulate(make(n), h, g)) == digest
+
+
+# ---------------------------------------------------------------------------
+# Delaunay by flips between sweeps
+
+class _QhullCount:
+    """Counts the from-scratch builds behind ``_retriangulate``."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self.real = meshing._delaunay_triangles
+        monkeypatch.setattr(meshing, "_delaunay_triangles", self)
+
+    def __call__(self, nodes):
+        self.calls += 1
+        return self.real(nodes)
+
+
+@pytest.mark.parametrize("make, n, h, g, max_qhull", [
+    (regular_polygon, 3, 0.05, 0.25, 25),
+    (split_rectangle, 3, 0.05, 0.25, 3),
+    (regular_polygon, 4, 0.1, 0.5, 3),
+    (near_special_hexagon, 0.05, 0.05, 0.25, 3),
+], ids=["hexagon", "split3", "octagon-coarse", "near-special-0.05"])
+def test_flips_equal_qhull_every_sweep(make, n, h, g, max_qhull, monkeypatch):
+    # the hexagon has exact symmetric ties on every sweep and stays with
+    # Qhull; on the others the flips decide all but the first sweep
+    qhull = _QhullCount(monkeypatch)
+    real = meshing._retriangulate
+    sweeps = []
+
+    def checked(nodes, tris, ties):
+        got = real(nodes, tris, ties)
+        assert np.array_equal(got[0], qhull.real(nodes))
+        sweeps.append(len(got[1]))
+        return got
+
+    monkeypatch.setattr(meshing, "_retriangulate", checked)
+    triangulate(make(n), h, g)
+    assert len(sweeps) == meshing.SMOOTH_SWEEPS + 1
+    assert 1 <= qhull.calls <= max_qhull
+
+
+def _no_check_pass(tris):
+    raise AssertionError("the flip path ran")
+
+
+def test_cocircular_quad_takes_tie_path(monkeypatch):
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    tris = np.array([[0, 1, 2], [0, 2, 3]])
+    qhull = _QhullCount(monkeypatch)
+    got, ties = meshing._retriangulate(square, tris, meshing._NO_TIES)
+    assert qhull.calls == 1
+    assert np.array_equal(got, qhull.real(square))
+    assert sorted(ties[0].tolist()) == [0, 1, 2, 3]
+    # while the quad stays tied, the next sweep goes straight to Qhull
+    monkeypatch.setattr(meshing, "_interior_edges", _no_check_pass)
+    again, still = meshing._retriangulate(square, got, ties)
+    assert qhull.calls == 2
+    assert np.array_equal(again, got) and np.array_equal(still, ties)
+    # once it is not, flips decide it: (1.2, 1) lies outside the circle
+    # through the other three, so the diagonal 1-3 is Delaunay
+    monkeypatch.undo()
+    qhull = _QhullCount(monkeypatch)
+    kite = square.copy()
+    kite[2] = (1.2, 1.0)
+    flipped, none = meshing._retriangulate(kite, tris, ties)
+    assert qhull.calls == 0 and len(none) == 0
+    assert np.array_equal(flipped, [[0, 1, 3], [1, 2, 3]])
+    assert np.array_equal(flipped, qhull.real(kite))
+
+
+def test_inverted_triangle_goes_to_qhull(monkeypatch):
+    m = triangulate(unit_square(), 0.25, 1.0)
+    nodes = m.nodes.copy()
+    i = m.n_boundary
+    t = m.triangles[np.flatnonzero((m.triangles == i).any(axis=1))[0]]
+    j, k = (v for v in t if v != i)
+    # across the opposite edge, triangle (i, j, k) turns inside out
+    nodes[i] = nodes[j] + nodes[k] - nodes[i]
+    assert (meshing._area2(nodes, m.triangles) < 0).any()
+    qhull = _QhullCount(monkeypatch)
+    monkeypatch.setattr(meshing, "_interior_edges", _no_check_pass)
+    got, ties = meshing._retriangulate(nodes, np.array(m.triangles), meshing._NO_TIES)
+    assert qhull.calls == 1 and len(ties) == 0
+    assert np.array_equal(got, qhull.real(nodes))
+
+
+def test_incircle_sign_and_permanent():
+    # d inside, on and outside the unit circle through a, b, c (CCW)
+    a, b, c = (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)
+    nodes = np.array([a, b, c, (0.0, 0.5), (0.0, -1.0), (0.0, -2.0)])
+    quads = np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]])
+    det, perm = meshing._incircle(nodes, quads)
+    assert det[0] > 0 and det[1] == 0 and det[2] < 0
+    assert (perm >= np.abs(det)).all()
