@@ -72,15 +72,18 @@ from .polygon import (
 
 MODES = ("solve", "flux-report", "sequence", "compare", "export")
 
-_BASE_KEYS = {"mode", "domain", "h", "g", "out", "probes"}
-_SOLVER_KEYS = {"caps", "tol", "cauchy_tol", "core_margin"}
-_SEQ_KEYS = {"candidate_tol", "flux_slack", "grad_bound", "shrink",
+_BASE_KEYS = {"mode", "domain", "h", "g", "out"}
+_SOLVER_KEYS = {"caps", "tol", "cauchy_tol"}
+_SEQ_KEYS = {"probes", "candidate_tol", "flux_slack", "grad_bound", "shrink",
              "anchor", "window", "window_center", "grid", "limit_tol",
              "workers"}
+# core_margin feeds solve_js's gate in the single-domain solve modes;
+# sequences gate their members at the default margin
+_SOLVE_KEYS = _BASE_KEYS | _SOLVER_KEYS | {"core_margin"}
 _MODE_KEYS = {
-    "solve": _BASE_KEYS | _SOLVER_KEYS,
-    "flux-report": _BASE_KEYS | _SOLVER_KEYS,
-    "compare": _BASE_KEYS | _SOLVER_KEYS,
+    "solve": _SOLVE_KEYS,
+    "flux-report": _SOLVE_KEYS,
+    "compare": _SOLVE_KEYS,
     "sequence": _BASE_KEYS | _SOLVER_KEYS | _SEQ_KEYS,
     "export": _BASE_KEYS,
 }
@@ -255,10 +258,15 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 # mode runners
 
-def _run_solve(cfg, out):
+def _solve(cfg):
+    """Mesh the config's one domain and run the gated cap ladder on it."""
     mesh = triangulate(cfg.domains[0], cfg.h, cfg.g)
-    sol = solve_js(mesh, caps=cfg.caps, tol=cfg.tol, cauchy_tol=cfg.cauchy_tol,
-                   core_margin=cfg.core_margin)
+    return solve_js(mesh, caps=cfg.caps, tol=cfg.tol, cauchy_tol=cfg.cauchy_tol,
+                    core_margin=cfg.core_margin)
+
+
+def _run_solve(cfg, out):
+    sol = _solve(cfg)
     graph_to_obj(sol, os.path.join(out, "graph.obj"))
     surf = conjugate_surface(sol)
     surface_to_obj(surf, os.path.join(out, "conjugate.obj"))
@@ -267,16 +275,15 @@ def _run_solve(cfg, out):
     write_period_file(piece, os.path.join(out, "period.json"))
     report_to_json(sol, os.path.join(out, "report.json"))
     print(f"stabilized cap {fmt_float(sol.report.stabilized_cap)}")
+    print("conjugate loop defects "
+          + ", ".join(fmt_float(d) for d in surf.loop_defects))
     for name in ("graph.obj", "conjugate.obj", "tower.obj", "period.json", "report.json"):
         print(f"wrote {os.path.join(out, name)}")
     return 0
 
 
 def _run_flux_report(cfg, out):
-    mesh = triangulate(cfg.domains[0], cfg.h, cfg.g)
-    sol = solve_js(mesh, caps=cfg.caps, tol=cfg.tol, cauchy_tol=cfg.cauchy_tol,
-                   core_margin=cfg.core_margin)
-    rows = edge_flux_report(sol)
+    rows = edge_flux_report(_solve(cfg))
     path = os.path.join(out, "flux.csv")
     write_flux_csv(rows, path)
     total = sum(r.flux for r in rows)
@@ -291,9 +298,8 @@ def _run_compare(cfg, out):
     ref = unit_square()
     if poly.edge_count != 4 or not np.allclose(poly.vertices, ref.vertices, atol=1e-12):
         raise ConfigError("compare mode is defined for the unit square domain")
-    mesh = triangulate(poly, cfg.h, cfg.g)
-    sol = solve_js(mesh, caps=cfg.caps, tol=cfg.tol, cauchy_tol=cfg.cauchy_tol,
-                   core_margin=cfg.core_margin)
+    sol = _solve(cfg)
+    mesh = sol.mesh
     sq = ScherkSquare()
     core = np.flatnonzero(core_mask(mesh, cfg.core_margin))
     oracle = scherk_value(sq, mesh.nodes[core])

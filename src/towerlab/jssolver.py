@@ -321,6 +321,20 @@ def core_mask(mesh, margin=DEFAULT_CORE_MARGIN):
     return boundary_distance_many(mesh.polygon, mesh.nodes) >= margin
 
 
+def _ladder(mesh, caps, tol):
+    """Capped solves along a cap schedule, each warm-started from the last.
+
+    The one cap loop: ``solve_js`` gates its rungs and ``last_capped``
+    keeps them all.  Rungs are solved lazily, so a gate that stops early
+    solves no further cap.
+    """
+    prev = None
+    for M in caps:
+        sol = solve_capped(mesh, M, tol=tol, u0=prev)
+        yield sol
+        prev = np.asarray(sol.u)
+
+
 def solve_js(mesh, caps=DEFAULT_CAPS, tol=DEFAULT_TOL,
              cauchy_tol=DEFAULT_CAUCHY_TOL, core_margin=DEFAULT_CORE_MARGIN):
     """Cap continuation toward the Jenkins-Serrin solution.
@@ -339,23 +353,18 @@ def solve_js(mesh, caps=DEFAULT_CAPS, tol=DEFAULT_TOL,
     if not core.any():
         raise ValueError("no core nodes at this margin; mesh too coarse")
     prev = None
-    sol = None
     drift = []
-    used = []
-    for M in caps:
-        sol = solve_capped(mesh, M, tol=tol, u0=prev)
-        used.append(M)
+    for k, sol in enumerate(_ladder(mesh, caps, tol)):
         if prev is not None:
-            diff = float(np.max(np.abs(sol.u[core] - prev[core])))
-            drift.append(diff)
-            if diff <= cauchy_tol:
-                report = replace(sol.report, cap_trace=tuple(used),
-                                 stabilized_cap=M, core_drift=tuple(drift))
+            drift.append(float(np.max(np.abs(sol.u[core] - prev.u[core]))))
+            if drift[-1] <= cauchy_tol:
+                report = replace(sol.report, cap_trace=tuple(caps[:k + 1]),
+                                 stabilized_cap=caps[k], core_drift=tuple(drift))
                 return replace(sol, report=report)
-        prev = np.asarray(sol.u)
+        prev = sol
     raise NoStabilization(
         f"core drift {drift[-1]:.3e} above {cauchy_tol:g} at final cap {caps[-1]:g}",
-        caps=used, drift=drift, last=sol)
+        caps=caps, drift=drift, last=sol)
 
 
 def last_capped(mesh, caps=DEFAULT_CAPS, tol=DEFAULT_TOL):
@@ -364,14 +373,7 @@ def last_capped(mesh, caps=DEFAULT_CAPS, tol=DEFAULT_TOL):
     Used by sequence experiments that must keep going on domains where
     solve_js would raise; the caller owns the interpretation.
     """
-    caps = [float(c) for c in caps]
-    prev = None
-    out = []
-    for M in caps:
-        sol = solve_capped(mesh, M, tol=tol, u0=prev)
-        out.append(sol)
-        prev = np.asarray(sol.u)
-    return out
+    return list(_ladder(mesh, [float(c) for c in caps], tol))
 
 
 def u_at(sol, q):

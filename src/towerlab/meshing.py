@@ -31,6 +31,7 @@ from scipy.spatial import Delaunay, cKDTree
 
 from .formats import write_obj
 from .polygon import MarkedPolygon, _lock, boundary_distance_many, contains_many
+from .polygon import area as polygon_area
 
 VERTEX_RADIUS = 0.3
 MIN_ANGLE_DEG = 20.0
@@ -663,10 +664,7 @@ def _assemble(p, h, g, nodes, tris, counts):
     areas = mesh.triangle_areas()
     if np.any(areas <= 0):
         raise MeshFailure("nonpositive triangle area")
-    poly_area = 0.5 * float(np.sum(
-        p.vertices[:, 0] * np.roll(p.vertices[:, 1], -1)
-        - p.vertices[:, 1] * np.roll(p.vertices[:, 0], -1)))
-    if abs(float(areas.sum()) - poly_area) > 1e-9:
+    if abs(float(areas.sum()) - polygon_area(p)) > 1e-9:
         raise MeshFailure("triangle areas do not cover the polygon")
     bdist = boundary_distance_many(p, nodes[:n_bnd])
     if bdist.max() > 1e-9:
@@ -700,12 +698,7 @@ def refine(mesh):
         mbc = edges[(min(b, c), max(b, c))]
         mca = edges[(min(c, a), max(c, a))]
         out.extend([(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)])
-    new_tris = np.asarray(out, dtype=np.int64)
-    roll = np.argmin(new_tris, axis=1)
-    new_tris = np.stack([new_tris[np.arange(len(new_tris)), (roll + k) % 3]
-                         for k in range(3)], axis=1)
-    order = np.lexsort((new_tris[:, 2], new_tris[:, 1], new_tris[:, 0]))
-    new_tris = new_tris[order]
+    new_tris = _canonical(np.asarray(out, dtype=np.int64))
 
     pairs = []
     edge_id = []

@@ -314,6 +314,26 @@ def near_special_hexagon(delta):
     return from_turning_angles([a, delta, a, a, delta, a])
 
 
+def _close_walk(dirs):
+    """Unit steps along ``dirs`` nudged until the walk closes.
+
+    Newton on ``sum(steps) = 0`` with the minimal-norm correction over
+    every direction but the first, which stays pinned.  Returns the steps
+    of the corrected directions, or None when the gap stays above
+    ``CLOSURE_TOL``.
+    """
+    dirs = np.array(dirs, dtype=float)
+    for _ in range(6):
+        steps = np.column_stack([np.cos(dirs), np.sin(dirs)])
+        gap = steps.sum(axis=0)
+        if math.hypot(*gap) < 1e-14:
+            return steps
+        jac = np.stack([-np.sin(dirs[1:]), np.cos(dirs[1:])])
+        dirs[1:] -= np.linalg.pinv(jac) @ gap
+    steps = np.column_stack([np.cos(dirs), np.sin(dirs)])
+    return steps if math.hypot(*steps.sum(axis=0)) <= CLOSURE_TOL else None
+
+
 # ---------------------------------------------------------------------------
 # domain spec files
 
@@ -350,18 +370,10 @@ def load_domain(path):
     if abs(defect) > 1e-6:
         raise ConfigError(f"angles sum to 2*pi + {defect:.3g}", str(path), ang_line)
     # hand-written files carry limited decimals; spread the tiny sum defect
-    # evenly, then the walk closure is repaired inside from_turning_angles
-    # territory by nudging directions with a Newton projection
+    # evenly, then close the unit-edge walk by nudging its directions
     ang = ang - defect / len(ang)
-    dirs = np.concatenate([[0.0], np.cumsum(ang[:-1])])
-    for _ in range(6):
-        steps = np.column_stack([np.cos(dirs), np.sin(dirs)])
-        gap = steps.sum(axis=0)
-        if math.hypot(*gap) < 1e-14:
-            break
-        jac = np.stack([-np.sin(dirs[1:]), np.cos(dirs[1:])])
-        dirs[1:] -= np.linalg.pinv(jac) @ gap
-    if math.hypot(*steps.sum(axis=0)) > CLOSURE_TOL:
+    steps = _close_walk(np.concatenate([[0.0], np.cumsum(ang[:-1])]))
+    if steps is None:
         raise ConfigError("angles do not describe a closed polygon",
                           str(path), ang_line)
     verts = np.vstack([[0.0, 0.0], np.cumsum(steps[:-1], axis=0)])
@@ -437,17 +449,9 @@ def _snap_to_unit_edges(verts):
     phi = np.concatenate([[phi0[0]], sol.x])
 
     # the soft closure weight leaves an O(1e-10) gap, too big for the strict
-    # unit-edge validation; close it exactly with Newton on sum(steps) = 0,
-    # minimal-norm correction over the free angles
-    for _ in range(4):
-        steps = np.column_stack([np.cos(phi), np.sin(phi)])
-        gap = steps.sum(axis=0)
-        if math.hypot(*gap) < 1e-14:
-            break
-        jac = np.stack([-np.sin(phi[1:]), np.cos(phi[1:])])
-        phi[1:] -= np.linalg.pinv(jac) @ gap
-    steps = np.column_stack([np.cos(phi), np.sin(phi)])
-    if math.hypot(*steps.sum(axis=0)) > CLOSURE_TOL:
+    # unit-edge validation; close it exactly
+    steps = _close_walk(phi)
+    if steps is None:
         return None
     snapped = np.vstack([[0.0, 0.0], np.cumsum(steps[:-1], axis=0)]) + verts[0]
     return snapped

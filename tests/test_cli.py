@@ -51,7 +51,6 @@ caps = 2, 3, 4
 tol = 1e-8
 cauchy_tol = 0.02
 core_margin = 0.2
-probes = (0.5, 0.5), (0.25, 0.75)
 out = results
 """)
     cfg = load_config(p)
@@ -63,8 +62,10 @@ out = results
     assert cfg.tol == 1e-8
     assert cfg.cauchy_tol == 0.02
     assert cfg.core_margin == 0.2
-    assert cfg.probes == ((0.5, 0.5), (0.25, 0.75))
     assert cfg.out == "results"
+    p = write_cfg(tmp_path / "s.cfg", "mode = sequence\n" + "domain = square\n" * 3
+                  + "h = 0.05\ng = 0.25\nprobes = (0.5, 0.5), (0.25, 0.75)\n")
+    assert load_config(p).probes == ((0.5, 0.5), (0.25, 0.75))
 
 
 def test_unknown_key_rejected_with_line(tmp_path):
@@ -77,6 +78,20 @@ def test_mode_specific_keys_rejected(tmp_path):
     p = write_cfg(tmp_path / "c.cfg",
                   "mode = solve\ndomain = square\nh = 0.1\ng = 1\nanchor = (0.5, 0.5)\n")
     with pytest.raises(ConfigError, match="anchor"):
+        load_config(p)
+
+
+@pytest.mark.parametrize("mode, key", [
+    ("solve", "probes"), ("flux-report", "probes"), ("compare", "probes"),
+    ("export", "probes"), ("sequence", "core_margin"), ("export", "core_margin"),
+])
+def test_ignored_keys_rejected_with_line(tmp_path, mode, key):
+    # a key the mode never reads is an error, not a silent no-op
+    n = 3 if mode == "sequence" else 1
+    value = "(0.5, 0.5)" if key == "probes" else "0.2"
+    p = write_cfg(tmp_path / "c.cfg", f"mode = {mode}\n" + "domain = square\n" * n
+                  + f"h = 0.1\ng = 1\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"c.cfg:{n + 4}: key '{key}' not allowed"):
         load_config(p)
 
 

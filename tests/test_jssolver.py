@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -227,6 +228,31 @@ def test_linear_iterations_sum_newton_cg(hex_mesh, hex_js, monkeypatch):
     # solve_js carries the count of the cap it stops at
     ladder = last_capped(hex_mesh, caps=hex_js.report.cap_trace)
     assert hex_js.report.linear_iterations == ladder[-1].report.linear_iterations
+
+
+def test_solve_js_solves_each_gated_rung_once(hex_mesh, monkeypatch):
+    # the gate stops the ladder at its first Cauchy rung: one solve per
+    # cap of the trace, each bit for bit the rung of the ungated ladder
+    rungs = []
+    real = jssolver.solve_capped
+
+    def counting(*args, **kwargs):
+        rungs.append(real(*args, **kwargs))
+        return rungs[-1]
+
+    monkeypatch.setattr(jssolver, "solve_capped", counting)
+    sol = solve_js(hex_mesh, caps=CAPS, cauchy_tol=HONEST_CAUCHY_TOL)
+    k = len(rungs)
+    assert k == len(sol.report.cap_trace) < len(CAPS)
+    monkeypatch.undo()
+    full = last_capped(hex_mesh, caps=CAPS)
+    # the returned solution is the last rung with the ladder fields filled in
+    for got, want in zip(rungs + [sol], full[:k] + [full[k - 1]]):
+        assert got.cap == want.cap
+        for name in ("u", "grad", "W"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        ladder_free = replace(got.report, cap_trace=(), stabilized_cap=None, core_drift=())
+        assert repr(ladder_free) == repr(want.report)
 
 
 def test_solve_js_cap_validation(hex_mesh):

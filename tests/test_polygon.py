@@ -6,6 +6,7 @@ family has explicit sin/cos coordinates, the split rectangle is a 1 x (n-1)
 box with unit subdivisions.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from towerlab.polygon import (
     NonClosing,
     NotConvex,
     UndecidedLimit,
+    _snap_to_unit_edges,
     area,
     boundary_distance,
     boundary_distance_many,
@@ -161,6 +163,27 @@ def test_domain_file_round_trip(tmp_path):
     with pytest.raises(Exception) as err:
         load_domain(bad)
     assert "angles" in str(err.value)
+
+
+def test_domain_file_closure_pinned(tmp_path):
+    # six-decimal angles miss closure by ~1e-6; the Newton projection
+    # closes the walk, and these bytes pin where it lands
+    path = tmp_path / "hand.txt"
+    path.write_text("name = hand\nn = 3\n"
+                    "angles = 1.520796, 0.1, 1.520797, 1.520796, 0.1, 1.520797\n")
+    p, name = load_domain(path)
+    assert name == "hand"
+    assert hashlib.sha256(np.asarray(p.vertices).tobytes()).hexdigest() == (
+        "4fd4bcf9a600376dd94518fe7a478c3f3ff8d1780d91efd48cd8f1b7646ad072")
+
+
+def test_snap_to_unit_edges_pinned():
+    v = np.asarray(near_special_hexagon(0.3).vertices)
+    noisy = v + 1e-7 * np.random.default_rng(7).standard_normal(v.shape)
+    snapped = _snap_to_unit_edges(noisy)
+    assert np.abs(snapped - noisy).max() < 1e-6
+    assert hashlib.sha256(snapped.tobytes()).hexdigest() == (
+        "3abbcaa184b67163a64397705e0f0c74e175b88b5801bfa394cb0bdd8852e5eb")
 
 
 @st.composite
