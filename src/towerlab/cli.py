@@ -216,9 +216,8 @@ def load_config(path):
         kw["caps"] = tuple(caps)
     opt_float("tol", 0.0, 1.0)
     opt_float("cauchy_tol", 0.0, 1.0)
-    if "core_margin" in seen:
-        kw["core_margin"] = _parse_float(seen["core_margin"][0], "core_margin",
-                                         spath, seen["core_margin"][1], None, 0.5)
+    # a margin of zero or less lets boundary nodes into the Cauchy gate
+    opt_float("core_margin", 0.0, 0.5)
     if "probes" in seen:
         kw["probes"] = tuple(parse_point_list(seen["probes"][0], spath, seen["probes"][1]))
     if "out" in seen:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formats import write_csv, write_json, write_obj
-from .meshing import OutsideDomain, locate_many
+from .meshing import LOCATE_TOL, OutsideDomain, locate_many
 
 WELD_TOL = 1e-6
 
@@ -136,23 +136,16 @@ def _spanning_tree(mesh, edges, root, weight):
     (parent, child, edge index) steps in dependency order.
     """
     n = len(mesh.nodes)
-    key = edges[:, 0] * n + edges[:, 1]
-
-    def eidx(i, j):
-        a, b = (i, j) if i < j else (j, i)
-        return int(np.searchsorted(key, a * n + b))
-
-    ring = [int(v) for v in mesh.boundary_nodes()]
+    ring = mesh.boundary_nodes()
     nb = len(ring)
-    p0 = ring.index(root)
-    fwd = nb // 2
-    steps = []
-    for t in range(1, fwd + 1):
-        i, j = ring[(p0 + t - 1) % nb], ring[(p0 + t) % nb]
-        steps.append((i, j, eidx(i, j)))
-    for t in range(1, nb - fwd):
-        i, j = ring[(p0 - t + 1) % nb], ring[(p0 - t) % nb]
-        steps.append((i, j, eidx(i, j)))
+    p0 = ring.tolist().index(root)
+    # ring positions forward from the root for half the ring, then backward
+    fwd = p0 + np.arange(nb // 2 + 1)
+    bwd = p0 - np.arange(nb - nb // 2)
+    src = ring[np.concatenate([fwd[:-1], bwd[:-1]]) % nb]
+    dst = ring[np.concatenate([fwd[1:], bwd[1:]]) % nb]
+    steps = list(zip(src.tolist(), dst.tolist(),
+                     mesh._edge_index(np.stack([src, dst], axis=1)).tolist()))
     nbr = [[] for _ in range(n)]
     for k, (i, j) in enumerate(edges):
         nbr[int(i)].append((int(j), k))
@@ -162,7 +155,7 @@ def _spanning_tree(mesh, edges, root, weight):
     parent = np.full(n, -1, dtype=np.int64)
     via = np.full(n, -1, dtype=np.int64)
     heap = []
-    for r in ring:
+    for r in ring.tolist():
         dist[r] = 0.0
         heapq.heappush(heap, (0.0, r))
     while heap:
@@ -192,29 +185,18 @@ def _triangle_circulations(mesh, coeffs):
     these.  Shape (T, k) for k forms.
     """
     tris = mesh.triangles
-    edges, owner = mesh._edge_owner
-    n = len(mesh.nodes)
-    key = edges[:, 0] * n + edges[:, 1]
+    _, owner = mesh._edge_owner
     circ = np.zeros((len(tris), coeffs.shape[1]))
     for k in range(3):
-        a, b = tris[:, k], tris[:, (k + 1) % 3]
-        d = mesh.nodes[b] - mesh.nodes[a]
-        e = np.sort(np.stack([a, b], axis=1), axis=1)
-        pos = np.searchsorted(key, e[:, 0] * n + e[:, 1])
-        circ += np.einsum("tkd,td->tk", coeffs[owner[pos]], d)
+        d = mesh.nodes[tris[:, (k + 1) % 3]] - mesh.nodes[tris[:, k]]
+        circ += np.einsum("tkd,td->tk", coeffs[owner[mesh._sides[:, k]]], d)
     return circ
 
 
-def _edge_weights(mesh, edges, tri_err):
+def _edge_weights(mesh, tri_err):
     """Per-edge weight: the worst error indicator of adjacent triangles."""
-    n = len(mesh.nodes)
-    key = edges[:, 0] * n + edges[:, 1]
-    wgt = np.zeros(len(edges))
-    tris = mesh.triangles
-    for k in range(3):
-        e = np.sort(np.stack([tris[:, k], tris[:, (k + 1) % 3]], axis=1), axis=1)
-        pos = np.searchsorted(key, e[:, 0] * n + e[:, 1])
-        np.maximum.at(wgt, pos, tri_err)
+    wgt = np.zeros(len(mesh._edge_owner[0]))
+    np.maximum.at(wgt, mesh._sides, tri_err[:, None])
     return wgt
 
 
@@ -229,7 +211,7 @@ def _integrate(mesh, coeffs, root):
     """
     edges, owner = mesh._edge_owner
     circs = _triangle_circulations(mesh, coeffs)
-    weight = _edge_weights(mesh, edges, np.abs(circs[:, -1]))
+    weight = _edge_weights(mesh, np.abs(circs[:, -1]))
     steps = _spanning_tree(mesh, edges, root, weight)
     d = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
     w = np.einsum("ekd,ed->ek", coeffs[owner], d)
@@ -292,11 +274,13 @@ def triangle_circulations(sol):
 def flux(sol, path):
     """Line integral of the conjugate differential along a polyline.
 
-    Each segment is split at its crossings with mesh edges and every
-    piece uses the form of the triangle its midpoint falls in, ties on
-    shared edges going to the lowest triangle index, which is what makes
-    boundary runs use one-sided data.  Raises PathOutsideDomain when any
-    piece leaves the triangulation.
+    Each segment is split at its crossings with mesh edges and at the
+    mesh nodes within ``LOCATE_TOL`` of it, and every piece uses the form
+    of the triangle its midpoint falls in, ties on shared edges going to
+    the lowest triangle index, which is what makes boundary runs use
+    one-sided data.  The node splits keep a path that runs just outside
+    a wall, inside ``locate_many``'s margin, on the wall's triangles.
+    Raises PathOutsideDomain when any piece leaves the triangulation.
     """
     P = np.asarray(path, dtype=float)
     if P.ndim != 2 or P.shape[1] != 2 or len(P) < 2:
@@ -319,8 +303,12 @@ def flux(sol, path):
             denom = d[0] * R[:, 1] - d[1] * R[:, 0]
             t = (ap[:, 0] * R[:, 1] - ap[:, 1] * R[:, 0]) / denom
             u = (ap[:, 0] * d[1] - ap[:, 1] * d[0]) / denom
+            xp = mesh.nodes - p
+            tn = (xp @ d) / (d @ d)
+            near = np.abs(xp[:, 0] * d[1] - xp[:, 1] * d[0]) <= LOCATE_TOL * np.hypot(*d)
         hit = np.isfinite(t) & (t > 0.0) & (t < 1.0) & (u >= -1e-12) & (u <= 1.0 + 1e-12)
-        ts = np.concatenate([[0.0, 1.0], t[hit]])
+        near &= np.isfinite(tn) & (tn > 0.0) & (tn < 1.0)
+        ts = np.concatenate([[0.0, 1.0], t[hit], tn[near]])
         ts = np.unique(ts)
         ts = ts[(ts >= 0.0) & (ts <= 1.0)]
         keep = np.ones(len(ts), dtype=bool)
@@ -357,11 +345,8 @@ def edge_flux_report(sol):
     """
     mesh = sol.mesh
     coeffs = _psi_coeffs(sol)
-    edges, owner = mesh._edge_owner
-    key = edges[:, 0] * len(mesh.nodes) + edges[:, 1]
-    seg = np.sort(mesh.bnd_edges, axis=1)
-    pos = np.searchsorted(key, seg[:, 0] * len(mesh.nodes) + seg[:, 1])
-    tid = owner[pos]
+    _, owner = mesh._edge_owner
+    tid = owner[mesh._edge_index(mesh.bnd_edges)]
     d = mesh.nodes[mesh.bnd_edges[:, 1]] - mesh.nodes[mesh.bnd_edges[:, 0]]
     w = np.einsum("sd,sd->s", coeffs[tid], d)
     m = len(mesh.polygon.markings)

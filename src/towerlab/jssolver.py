@@ -88,44 +88,22 @@ class GraphSolution:
 
 
 # --- P1 assembly ----------------------------------------------------------
-
-def _geometry(mesh):
-    """Per-triangle areas, shape-function gradients and their dot products.
-
-    Recomputed from the mesh on every call: ``solve_capped`` builds it once
-    per solve, and ``energy`` once per call unless given ``geom``.  The
-    dot products ``grad phi_k . grad phi_l`` enter every Newton Hessian
-    and the harmonic start.
-    """
-    tris = mesh.triangles
-    a = mesh.nodes[tris[:, 0]]
-    b = mesh.nodes[tris[:, 1]]
-    c = mesh.nodes[tris[:, 2]]
-    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    area = 0.5 * det
-    # grad phi_v = rot90(opposite edge) / (2 area), rot90(x, y) = (-y, x)
-    gp = np.empty((len(tris), 3, 2))
-    for k, (p, q) in enumerate(((b, c), (c, a), (a, b))):
-        e = q - p
-        gp[:, k, 0] = -e[:, 1]
-        gp[:, k, 1] = e[:, 0]
-    gp /= det[:, None, None]
-    return area, gp, np.einsum("tkd,tld->tkl", gp, gp)
-
+# Triangle areas and shape-function gradients come from ``mesh._geometry``,
+# computed once per mesh and shared by every solve on it.
 
 def _grad_of(u, tris, gp):
     return np.einsum("tk,tkd->td", u[tris], gp)
 
 
-def energy(mesh, u, geom=None):
-    area, gp, _ = geom if geom is not None else _geometry(mesh)
+def energy(mesh, u):
+    area, gp, _ = mesh._geometry
     g = _grad_of(u, mesh.triangles, gp)
     W = np.sqrt(1.0 + (g * g).sum(axis=1))
     return float((area * W).sum())
 
 
-def _energy_gradient(mesh, u, geom):
-    area, gp, _ = geom
+def _energy_gradient(mesh, u):
+    area, gp, _ = mesh._geometry
     tris = mesh.triangles
     g = _grad_of(u, tris, gp)
     W = np.sqrt(1.0 + (g * g).sum(axis=1))
@@ -135,13 +113,13 @@ def _energy_gradient(mesh, u, geom):
     return out, g, W
 
 
-def _hessian(mesh, g, W, geom):
+def _hessian(mesh, g, W):
     """Free-node Hessian of the energy and its diagonal.
 
     Filled through the mesh's cached assembly plan, bit for bit the COO
     assembly restricted to interior rows and columns.
     """
-    area, gp, dots = geom
+    area, gp, dots = mesh._geometry
     gphi = np.einsum("td,tkd->tk", g, gp)
     block = (area / W)[:, None, None] * dots \
         - (area / W ** 3)[:, None, None] * gphi[:, :, None] * gphi[:, None, :]
@@ -205,8 +183,8 @@ def boundary_values(mesh, M):
     return vals
 
 
-def _harmonic_extension(mesh, bvals, geom):
-    area, _, dots = geom
+def _harmonic_extension(mesh, bvals):
+    area, _, dots = mesh._geometry
     tris = mesh.triangles
     stiff = dots * area[:, None, None]
     rows = np.repeat(tris, 3, axis=1).ravel()
@@ -237,22 +215,21 @@ def solve_capped(mesh, M, tol=DEFAULT_TOL, u0=None):
     Newton step so two different starts land on the same minimizer well
     below tol.
 
-    The free-node Hessian is filled through an assembly plan cached on
-    the mesh, and both linear solves, the harmonic start and each Newton
-    step, run ``cg``, which repeats scipy's CG arithmetic exactly.  The
-    report counts Newton steps and their CG iterations.
+    The triangle geometry and the free-node Hessian's assembly plan are
+    cached on the mesh, and both linear solves, the harmonic start and
+    each Newton step, run ``cg``, which repeats scipy's CG arithmetic
+    exactly.  The report counts Newton steps and their CG iterations.
     """
     if M < 0:
         raise ValueError("cap M must be nonnegative")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    geom = _geometry(mesh)
     bvals = boundary_values(mesh, M)
     n = len(mesh.nodes)
     free = np.flatnonzero(mesh.interior_mask())
     if u0 is None:
         try:
-            u = _harmonic_extension(mesh, bvals, geom)
+            u = _harmonic_extension(mesh, bvals)
         except LinearSolveFailure as exc:
             raise LinearSolveFailure(f"{exc} at cap {M:g}") from None
     else:
@@ -260,7 +237,7 @@ def solve_capped(mesh, M, tol=DEFAULT_TOL, u0=None):
         if len(u) != n:
             raise ValueError("u0 length mismatch")
         u[mesh.boundary_nodes()] = bvals
-    E = energy(mesh, u, geom)
+    E = energy(mesh, u)
     trace = [E]
     iterations = 0
     linear_iterations = 0
@@ -272,7 +249,7 @@ def solve_capped(mesh, M, tol=DEFAULT_TOL, u0=None):
     polish = False
     res = math.inf
     while True:
-        grad_full, g, W = _energy_gradient(mesh, u, geom)
+        grad_full, g, W = _energy_gradient(mesh, u)
         res = float(np.linalg.norm(grad_full[free]))
         if res <= tol:
             if polish or res == 0.0:
@@ -281,7 +258,7 @@ def solve_capped(mesh, M, tol=DEFAULT_TOL, u0=None):
         if iterations >= MAX_NEWTON:
             raise NoDescent(f"no convergence in {MAX_NEWTON} Newton steps "
                             f"at cap {M:g}, residual {res:.3e}")
-        A, diag = _hessian(mesh, g, W, geom)
+        A, diag = _hessian(mesh, g, W)
         rhs = -grad_full[free]
         step, info = cg(A, rhs, rtol=1e-10, atol=0.0, maxiter=20 * n,
                         M=1.0 / np.where(diag > 0, diag, 1.0), callback=count)
@@ -296,7 +273,7 @@ def solve_capped(mesh, M, tol=DEFAULT_TOL, u0=None):
         for _ in range(MAX_BACKTRACK):
             u_try = u.copy()
             u_try[free] += alpha * step
-            E_try = energy(mesh, u_try, geom)
+            E_try = energy(mesh, u_try)
             if E_try <= E - ARMIJO_C1 * alpha * slope:
                 ok = True
                 break
@@ -308,7 +285,7 @@ def solve_capped(mesh, M, tol=DEFAULT_TOL, u0=None):
         trace.append(E)
         iterations += 1
 
-    grad_full, g, W = _energy_gradient(mesh, u, geom)
+    grad_full, g, W = _energy_gradient(mesh, u)
     res = float(np.linalg.norm(grad_full[free]))
     report = SolveReport(iterations=iterations, linear_iterations=linear_iterations,
                          residual=res, energy=E, energy_trace=tuple(trace))
@@ -349,6 +326,8 @@ def solve_js(mesh, caps=DEFAULT_CAPS, tol=DEFAULT_TOL,
         raise ValueError("need at least two caps")
     if any(b <= a for a, b in zip(caps, caps[1:])):
         raise ValueError("caps must be strictly increasing")
+    if not core_margin > 0:
+        raise ValueError("core_margin must be positive")
     core = core_mask(mesh, core_margin)
     if not core.any():
         raise ValueError("no core nodes at this margin; mesh too coarse")

@@ -44,6 +44,8 @@ SLIVER_AREA2 = 1e-14
 TIE_RTOL = 1e-10
 # a safety net: the shipped meshes settle in at most two rounds of flips
 MAX_FLIP_ROUNDS = 100
+# locate_many's default margin outside a triangle
+LOCATE_TOL = 1e-10
 
 
 class MeshFailure(RuntimeError):
@@ -91,7 +93,7 @@ class TriMesh:
         return mask
 
     def triangle_areas(self):
-        return 0.5 * _area2(self.nodes, self.triangles)
+        return self._geometry[0]
 
     def min_angle(self):
         return float(np.min(_angles(self.nodes, self.triangles)))
@@ -122,6 +124,41 @@ class TriMesh:
         first = np.ones(len(e), dtype=bool)
         first[1:] = (np.diff(e[:, 0]) != 0) | (np.diff(e[:, 1]) != 0)
         return _lock(e[first]), _lock(tid[first])
+
+    def _edge_index(self, pairs):
+        """Rows of ``_edge_owner`` holding the undirected edges ``pairs``
+        (k x 2 node indices, either way round); -1 where no triangle has
+        the edge."""
+        edges, _ = self._edge_owner
+        n = len(self.nodes)
+        key = edges[:, 0] * n + edges[:, 1]
+        want = pairs.min(axis=1) * n + pairs.max(axis=1)
+        pos = np.minimum(np.searchsorted(key, want), len(key) - 1)
+        return np.where(key[pos] == want, pos, -1)
+
+    @cached_property
+    def _sides(self):
+        # edge index of side k, from corner k to corner k + 1, per triangle
+        tris = self.triangles
+        sides = np.stack([tris, tris[:, [1, 2, 0]]], axis=2).reshape(-1, 2)
+        return _lock(self._edge_index(sides).reshape(-1, 3))
+
+    @cached_property
+    def _geometry(self):
+        """Per-triangle areas, shape-function gradients and their dot
+        products ``grad phi_k . grad phi_l``, which enter every Newton
+        Hessian and the harmonic start."""
+        tris = self.triangles
+        a, b, c = (self.nodes[tris[:, k]] for k in range(3))
+        det = _area2(self.nodes, tris)
+        # grad phi_v = rot90(opposite edge) / (2 area), rot90(x, y) = (-y, x)
+        gp = np.empty((len(tris), 3, 2))
+        for k, (p, q) in enumerate(((b, c), (c, a), (a, b))):
+            e = q - p
+            gp[:, k, 0] = -e[:, 1]
+            gp[:, k, 1] = e[:, 0]
+        gp /= det[:, None, None]
+        return _lock(0.5 * det), _lock(gp), _lock(np.einsum("tkd,tld->tkl", gp, gp))
 
     @cached_property
     def _free_assembly(self):
@@ -245,8 +282,9 @@ def _boundary_nodes(p, h, g):
     return np.asarray(nodes), np.asarray(counts, dtype=int)
 
 
-def _symmetry_frame(p):
-    """Lattice frame adapted to a marking-swap isometry of the polygon.
+def _symmetry(p):
+    """Lattice frame adapted to a marking-swap isometry of the polygon, and
+    the isometries that also preserve a hex lattice in that frame.
 
     The capped solves carry a nearly free additive mode (walls detach the
     interior level from the Dirichlet data), so the discrete minimizer's
@@ -254,37 +292,32 @@ def _symmetry_frame(p):
     boundary data.  A mirror axis through a vertex and the centroid always
     swaps alternating markings; lattice rows along it (or any lattice
     centered at the centroid, for central symmetry) inherit the pinning.
-    Returns (origin, row direction).
-    """
-    verts = p.vertices
-    m = len(verts)
-    ctr = verts.mean(axis=0)
-    for k in range(m):
-        d = verts[k] - ctr
-        norm = math.hypot(*d)
-        if norm < 1e-12:
-            continue
-        d = d / norm
-        # reflection about the line through ctr with direction d
-        rel = verts - ctr
-        along = rel @ d
-        perp = rel @ np.array([-d[1], d[0]])
-        mirrored = ctr + along[:, None] * d + (-perp)[:, None] * np.array([-d[1], d[0]])
-        want = verts[(2 * k - np.arange(m)) % m]
-        if np.abs(mirrored - want).max() < 1e-9:
-            return ctr, d
-    return ctr, np.array([1.0, 0.0])
-
-
-def _lattice_group(p, origin, d):
-    """Isometries of the polygon that also preserve a hex lattice in frame d.
 
     Hex-lattice point groups allow rotations by multiples of 60 degrees
     about a lattice point and reflections about axes at 30-degree steps
     from the row direction, so only those candidates are tested against
-    the vertex set.  Always contains the identity.
+    the vertex set; the group always contains the identity.
+    Returns (origin, row direction, group).
     """
     verts = p.vertices
+    m = len(verts)
+    origin = verts.mean(axis=0)
+    for k in range(m):
+        d = verts[k] - origin
+        norm = math.hypot(*d)
+        if norm < 1e-12:
+            continue
+        d = d / norm
+        # reflection about the line through the centroid with direction d
+        rel = verts - origin
+        along = rel @ d
+        perp = rel @ np.array([-d[1], d[0]])
+        mirrored = origin + along[:, None] * d + (-perp)[:, None] * np.array([-d[1], d[0]])
+        want = verts[(2 * k - np.arange(m)) % m]
+        if np.abs(mirrored - want).max() < 1e-9:
+            break
+    else:
+        d = np.array([1.0, 0.0])
     vtree = cKDTree(verts)
     base = math.atan2(d[1], d[0])
     mats = []
@@ -302,7 +335,7 @@ def _lattice_group(p, origin, d):
         dd, _ = vtree.query(img)
         if dd.max() < 1e-9:
             keep.append(R)
-    return keep
+    return origin, d, keep
 
 
 class _SnapSet:
@@ -328,10 +361,10 @@ class _SnapSet:
         self.cells.setdefault(self._key(q), []).append((q[0], q[1]))
 
 
-def _interior_nodes(p, h, g, bnd):
+def _interior_nodes(p, h, g, bnd, sym):
     """Stacked hex lattices filtered by sizing band and boundary margin.
 
-    Lattices live in the symmetry frame.  Each level builds its candidates
+    Lattices live in the symmetry frame ``sym`` from ``_symmetry``.  Each level builds its candidates
     rows outer, columns inner, and runs the filters (inside, boundary
     margin, clearance from the nodes of coarser levels) on the whole level
     at once.  Decisions are made once per symmetry orbit: an orbit enters
@@ -342,9 +375,8 @@ def _interior_nodes(p, h, g, bnd):
     solves (see jssolver).
     """
     levels = max(0, int(math.ceil(math.log2(1.0 / g) - 1e-12)))
-    origin, d = _symmetry_frame(p)
+    origin, d, group = sym
     nvec = np.array([-d[1], d[0]])
-    group = _lattice_group(p, origin, d)
     radius = float(np.max(np.linalg.norm(p.vertices - origin, axis=1)))
     accepted = []
     seen = _SnapSet()
@@ -507,15 +539,14 @@ def _retriangulate(nodes, tris, ties):
     return _delaunay_triangles(nodes), _NO_TIES
 
 
-def _node_orbits(p, nodes):
+def _node_orbits(nodes, sym):
     """Pair every node with its image under each isometry of the layout.
 
     The pairing is computed once from the raw node set, which the lattice
     generator makes exactly symmetric.  Smoothing moves nodes but never
     reorders them, so the index maps stay valid for the whole pipeline.
     """
-    origin, d = _symmetry_frame(p)
-    group = _lattice_group(p, origin, d)
+    origin, _, group = sym
     if len(group) <= 1:
         return origin, []
     tree = cKDTree(nodes)
@@ -583,15 +614,16 @@ def _odt_step(p, pts, tris, n_bnd):
     return moved
 
 
-def _smooth(p, nodes, n_bnd, sweeps):
+def _smooth(p, nodes, n_bnd, sweeps, sym):
     """Laplacian sweeps, then ODT sweeps, each on the Delaunay triangles of
     the nodes it starts from; returns the nodes and their triangles.
+    Nodes are averaged over their orbits under the isometries in ``sym``.
 
     The triangles and the tie quads pass from sweep to sweep, so that
     ``_retriangulate`` repairs the last triangulation rather than
     rebuilding it.
     """
-    origin, maps = _node_orbits(p, nodes)
+    origin, maps = _node_orbits(nodes, sym)
     n_lap = max(1, sweeps // 2 - 2)
     pts = nodes.copy()
     tris, ties = None, _NO_TIES
@@ -620,16 +652,17 @@ def triangulate(p, h, g=1.0):
     if h <= 0 or h > 1:
         raise MeshFailure(f"target length {h} outside (0, 1]")
     bnd, counts = _boundary_nodes(p, h, g)
-    interior = _interior_nodes(p, h, g, bnd)
+    sym = _symmetry(p)
+    interior = _interior_nodes(p, h, g, bnd, sym)
     nodes = np.vstack([bnd, interior]) if len(interior) else bnd.copy()
     n_bnd = len(bnd)
-    nodes, tris = _smooth(p, nodes, n_bnd, SMOOTH_SWEEPS)
+    nodes, tris = _smooth(p, nodes, n_bnd, SMOOTH_SWEEPS, sym)
 
     mesh = _assemble(p, h, g, nodes, tris, counts)
     worst = mesh.min_angle()
     if worst < MIN_ANGLE_DEG:
         # a few extra relaxation rounds, then give up honestly
-        nodes, tris = _smooth(p, nodes, n_bnd, SMOOTH_SWEEPS)
+        nodes, tris = _smooth(p, nodes, n_bnd, SMOOTH_SWEEPS, sym)
         mesh = _assemble(p, h, g, nodes, tris, counts)
         worst = mesh.min_angle()
         if worst < MIN_ANGLE_DEG:
@@ -650,17 +683,14 @@ def _assemble(p, h, g, nodes, tris, counts):
     used[tris.ravel()] = True
     if not used.all():
         raise MeshFailure("triangulation dropped nodes")
-    edge_set = set()
-    for k in range(3):
-        e = np.stack([tris[:, k], tris[:, (k + 1) % 3]], axis=1)
-        edge_set.update(map(tuple, np.sort(e, axis=1).tolist()))
-    for a, b in pairs:
-        if (min(a, b), max(a, b)) not in edge_set:
-            raise MeshFailure(f"boundary segment {a}-{b} not conforming")
     mesh = TriMesh(polygon=p, h=float(h), g=float(g),
                    nodes=_lock(nodes), triangles=_lock(tris),
                    bnd_edges=_lock(pairs), bnd_edge_id=_lock(edge_id),
                    bnd_marking=_lock(marking), vertex_nodes=_lock(vertex_nodes))
+    missing = np.flatnonzero(mesh._edge_index(pairs) < 0)
+    if len(missing):
+        a, b = pairs[missing[0]]
+        raise MeshFailure(f"boundary segment {a}-{b} not conforming")
     areas = mesh.triangle_areas()
     if np.any(areas <= 0):
         raise MeshFailure("nonpositive triangle area")
@@ -678,41 +708,22 @@ def refine(mesh):
     Parent nodes keep their indices (prefix property); midpoint nodes are
     appended in sorted parent-edge order.  Angles are unchanged, h halves.
     """
-    nodes = np.asarray(mesh.nodes)
-    tris = np.asarray(mesh.triangles)
-    edges = {}
-    for t in tris:
-        for k in range(3):
-            a, b = int(t[k]), int(t[(k + 1) % 3])
-            edges.setdefault((min(a, b), max(a, b)), None)
-    edge_list = sorted(edges)
-    base = len(nodes)
-    for idx, e in enumerate(edge_list):
-        edges[e] = base + idx
-    midpoints = np.array([(nodes[a] + nodes[b]) * 0.5 for a, b in edge_list])
-    new_nodes = np.vstack([nodes, midpoints])
-    out = []
-    for t in tris:
-        a, b, c = (int(v) for v in t)
-        mab = edges[(min(a, b), max(a, b))]
-        mbc = edges[(min(b, c), max(b, c))]
-        mca = edges[(min(c, a), max(c, a))]
-        out.extend([(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)])
-    new_tris = _canonical(np.asarray(out, dtype=np.int64))
+    edges, _ = mesh._edge_owner
+    base = len(mesh.nodes)
+    midpoints = (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]]) * 0.5
+    a, b, c = mesh.triangles.T
+    mab, mbc, mca = (base + mesh._sides).T
+    children = np.stack([a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca], axis=1)
+    new_tris = _canonical(children.reshape(-1, 3))
 
-    pairs = []
-    edge_id = []
-    marking = []
-    for (a, b), eid, mk in zip(mesh.bnd_edges, mesh.bnd_edge_id, mesh.bnd_marking):
-        mid = edges[(min(int(a), int(b)), max(int(a), int(b)))]
-        pairs.extend([(int(a), mid), (mid, int(b))])
-        edge_id.extend([int(eid)] * 2)
-        marking.extend([int(mk)] * 2)
+    head, tail = mesh.bnd_edges.T
+    mid = base + mesh._edge_index(mesh.bnd_edges)
     return TriMesh(polygon=mesh.polygon, h=mesh.h / 2.0, g=mesh.g,
-                   nodes=_lock(new_nodes), triangles=_lock(new_tris),
-                   bnd_edges=_lock(np.asarray(pairs, dtype=np.int64)),
-                   bnd_edge_id=_lock(np.asarray(edge_id, dtype=np.int64)),
-                   bnd_marking=_lock(np.asarray(marking, dtype=np.int64)),
+                   nodes=_lock(np.vstack([mesh.nodes, midpoints])),
+                   triangles=_lock(new_tris),
+                   bnd_edges=_lock(np.stack([head, mid, mid, tail], axis=1).reshape(-1, 2)),
+                   bnd_edge_id=_lock(np.repeat(mesh.bnd_edge_id, 2)),
+                   bnd_marking=_lock(np.repeat(mesh.bnd_marking, 2)),
                    vertex_nodes=mesh.vertex_nodes)
 
 
@@ -781,7 +792,7 @@ def _build_point_grid(mesh, tol):
                       tri=_lock(owner[order]))
 
 
-def locate_many(mesh, pts, tol=1e-10):
+def locate_many(mesh, pts, tol=LOCATE_TOL):
     """Containing triangles and barycentric coordinates of many points.
 
     A point belongs to a triangle when all three barycentric coordinates

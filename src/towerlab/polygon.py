@@ -91,10 +91,6 @@ class MarkedPolygon:
         v = self.vertices
         return np.roll(v, -1, axis=0) - v
 
-    def vertex_parity(self, i):
-        """0 for even vertices (value 0 of the conjugate), 1 for odd."""
-        return i % 2
-
 
 def _validate_and_build(vertices):
     verts = np.asarray(vertices, dtype=float)

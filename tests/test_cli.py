@@ -95,6 +95,16 @@ def test_ignored_keys_rejected_with_line(tmp_path, mode, key):
         load_config(p)
 
 
+@pytest.mark.parametrize("margin", ["0", "-0.1"])
+def test_nonpositive_core_margin_rejected_with_line(tmp_path, margin):
+    # boundary nodes in the Cauchy gate would turn any domain into a
+    # NoStabilization verdict
+    p = write_cfg(tmp_path / "c.cfg", "mode = compare\ndomain = square\nh = 0.1\ng = 0.5\n"
+                  f"core_margin = {margin}\n")
+    with pytest.raises(ConfigError, match=r"c\.cfg:5: core_margin must be > 0"):
+        load_config(p)
+
+
 def test_missing_mesh_size(tmp_path):
     p = write_cfg(tmp_path / "c.cfg", "mode = solve\ndomain = square\ng = 1\n")
     with pytest.raises(ConfigError, match="'h'"):

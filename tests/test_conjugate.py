@@ -180,8 +180,11 @@ def test_edge_owner_cached_and_survives_pickling(square_js):
                 conjugate_function(sol).psi)
 
     want = outputs(square_js)
+    # the circulations read the side table, which pickles with the mesh too
+    assert "_sides" not in repr(mesh)
     copy = pickle.loads(pickle.dumps(square_js))
-    assert "_edge_owner" in vars(copy.mesh)
+    assert "_edge_owner" in vars(copy.mesh) and "_sides" in vars(copy.mesh)
+    assert np.array_equal(copy.mesh._sides, mesh._sides)
     got = outputs(copy)
     assert got[0] == want[0] and got[1] == want[1]
     assert np.array_equal(got[2], want[2])
@@ -200,6 +203,19 @@ def test_flux_outside_domain_raises(square_js):
     for end in [(1.0 + 1e-6, 0.5), (1e6, 0.0), (np.nan, 0.5), (0.5, np.inf)]:
         with pytest.raises(PathOutsideDomain):
             flux(square_js, [(0.5, 0.5), end])
+
+
+def test_flux_just_outside_wall_is_wall_flux(square_cap6):
+    # within locate_many's 1e-10 margin the path splits at the wall nodes
+    # and keeps the wall's one-sided triangles
+    bottom = flux(square_cap6, [(0.0, 0.0), (1.0, 0.0)])
+    right = flux(square_cap6, [(1.0, 0.0), (1.0, 1.0)])
+    assert abs(bottom - 0.99271) < 1e-5
+    for off in (1e-12, 1e-11, 5e-11):
+        assert abs(flux(square_cap6, [(0.0, -off), (1.0, -off)]) - bottom) <= 1e-15
+        assert abs(flux(square_cap6, [(1.0 + off, 0.0), (1.0 + off, 1.0)]) - right) <= 1e-15
+    with pytest.raises(PathOutsideDomain):
+        flux(square_cap6, [(0.0, -1e-9), (1.0, -1e-9)])
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,7 +10,7 @@ from scipy.sparse.linalg import cg as scipy_cg
 from towerlab.polygon import (
     unit_square, regular_polygon, split_rectangle, near_special_hexagon, area, is_special,
 )
-from towerlab import jssolver
+from towerlab import jssolver, meshing
 from towerlab.meshing import triangulate, refine, OutsideDomain
 from towerlab.jssolver import (
     solve_capped,
@@ -137,10 +137,10 @@ def _coo(mesh, block):
 
 def _newton_start(mesh, M=3.0):
     """Geometry, the harmonic start at cap M and the Hessian blocks there."""
-    geom = jssolver._geometry(mesh)
+    geom = mesh._geometry
     area_, gp, dots = geom
-    u = jssolver._harmonic_extension(mesh, boundary_values(mesh, M), geom)
-    grad, g, W = jssolver._energy_gradient(mesh, u, geom)
+    u = jssolver._harmonic_extension(mesh, boundary_values(mesh, M))
+    grad, g, W = jssolver._energy_gradient(mesh, u)
     gphi = np.einsum("td,tkd->tk", g, gp)
     block = (area_ / W)[:, None, None] * dots \
         - (area_ / W ** 3)[:, None, None] * gphi[:, :, None] * gphi[:, None, :]
@@ -260,6 +260,36 @@ def test_solve_js_cap_validation(hex_mesh):
         solve_js(hex_mesh, caps=(3.0, 2.0))
     with pytest.raises(ValueError):
         solve_js(hex_mesh, caps=(2.0,))
+
+
+@pytest.mark.parametrize("margin", [0.0, -0.1])
+def test_solve_js_rejects_nonpositive_core_margin(hex_mesh, margin):
+    # boundary nodes in the core would gate on the Dirichlet data itself
+    with pytest.raises(ValueError, match="core_margin"):
+        solve_js(hex_mesh, caps=CAPS, core_margin=margin)
+
+
+def test_geometry_computed_once_per_ladder(monkeypatch):
+    # refine leaves the geometry uncomputed; all five rungs then share
+    # the one copy that the first of them caches on the mesh
+    mesh = refine(triangulate(regular_polygon(3), h=0.2, g=1.0))
+    assert "_geometry" not in vars(mesh)
+    calls = []
+    real = meshing._area2
+
+    def counting(nodes, tris):
+        calls.append(len(tris))
+        return real(nodes, tris)
+
+    monkeypatch.setattr(meshing, "_area2", counting)
+    with pytest.raises(NoStabilization) as exc:
+        solve_js(mesh, caps=CAPS, cauchy_tol=1e-12)
+    assert len(exc.value.drift) == 4
+    assert calls == [len(mesh.triangles)]
+    area_, gp, dots = mesh._geometry
+    assert not (area_.flags.writeable or gp.flags.writeable or dots.flags.writeable)
+    assert mesh.triangle_areas() is area_
+    assert "_geometry" not in repr(mesh)
 
 
 # ------------------------------------------------------------- symmetry

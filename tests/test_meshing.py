@@ -434,3 +434,98 @@ def test_incircle_sign_and_permanent():
     det, perm = meshing._incircle(nodes, quads)
     assert det[0] > 0 and det[1] == 0 and det[2] < 0
     assert (perm >= np.abs(det)).all()
+
+
+# ---------------------------------------------------------------------------
+# Tables derived once per mesh
+
+def _side_pairs(tri):
+    return ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: triangulate(unit_square(), 0.05, 0.25),
+    lambda: triangulate(regular_polygon(3), 0.1, 0.5),
+    lambda: triangulate(near_special_hexagon(0.05), 0.05, 0.25),
+], ids=["square", "hexagon", "near-special"])
+def test_edge_tables_match_loop_reference(make):
+    m = make()
+    edges, _ = m._edge_owner
+    row = {(a, b): k for k, (a, b) in enumerate(edges.tolist())}
+    want = [[row[min(a, b), max(a, b)] for a, b in _side_pairs(tri)]
+            for tri in m.triangles.tolist()]
+    assert m._sides.tolist() == want
+    assert not m._sides.flags.writeable
+    # either orientation finds the edge; pairs that no triangle joins give -1
+    pairs = np.random.default_rng(2).integers(len(m.nodes), size=(500, 2))
+    pairs = np.vstack([edges[::-1], edges[:, ::-1], pairs])
+    want = [row.get((min(a, b), max(a, b)), -1) for a, b in pairs.tolist()]
+    assert m._edge_index(pairs).tolist() == want
+    assert min(want) == -1
+    copy = pickle.loads(pickle.dumps(m))
+    assert "_sides" in vars(copy)
+    assert np.array_equal(copy._sides, m._sides)
+    assert np.array_equal(copy._edge_index(pairs), want)
+
+
+def _refine_by_dict(mesh):
+    """Refinement through a dict of edges, one triangle at a time: the
+    construction ``refine`` replaced, kept as its reference."""
+    nodes = np.asarray(mesh.nodes)
+    edges = {}
+    for tri in mesh.triangles.tolist():
+        for a, b in _side_pairs(tri):
+            edges.setdefault((min(a, b), max(a, b)), None)
+    edge_list = sorted(edges)
+    for k, e in enumerate(edge_list):
+        edges[e] = len(nodes) + k
+    mid = np.array([(nodes[a] + nodes[b]) * 0.5 for a, b in edge_list])
+    out = []
+    for a, b, c in mesh.triangles.tolist():
+        mab = edges[min(a, b), max(a, b)]
+        mbc = edges[min(b, c), max(b, c)]
+        mca = edges[min(c, a), max(c, a)]
+        out.extend([(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)])
+    pairs = []
+    for a, b in mesh.bnd_edges.tolist():
+        m = edges[min(a, b), max(a, b)]
+        pairs.extend([(a, m), (m, b)])
+    return (np.vstack([nodes, mid]), meshing._canonical(np.asarray(out, dtype=np.int64)),
+            np.asarray(pairs, dtype=np.int64), np.repeat(mesh.bnd_edge_id, 2),
+            np.repeat(mesh.bnd_marking, 2))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: triangulate(unit_square(), 0.25, 1.0),
+    lambda: triangulate(regular_polygon(3), 0.1, 0.5),
+    lambda: triangulate(near_special_hexagon(0.05), 0.05, 0.25),
+    lambda: refine(triangulate(unit_square(), 0.1, 0.25)),
+], ids=["square", "hexagon", "near-special", "refined-square"])
+def test_refine_equals_dict_reference(make):
+    m = make()
+    r = refine(m)
+    got = (r.nodes, r.triangles, r.bnd_edges, r.bnd_edge_id, r.bnd_marking)
+    for a, b in zip(got, _refine_by_dict(m)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(r.vertex_nodes, m.vertex_nodes)
+
+
+@pytest.mark.parametrize("make, h, g", [
+    (unit_square, 0.1, 0.25), (lambda: regular_polygon(4), 0.1, 0.5),
+], ids=["square", "octagon"])
+def test_symmetry_found_once_per_triangulate(make, h, g, monkeypatch):
+    calls = []
+    real = meshing._symmetry
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(meshing, "_symmetry", counting)
+    triangulate(make(), h, g)
+    assert len(calls) == 1
+    # the retry smooths again with the same frame and group
+    monkeypatch.setattr(meshing, "MIN_ANGLE_DEG", 89.0)
+    with pytest.raises(MeshFailure, match="min angle"):
+        triangulate(make(), h, g)
+    assert len(calls) == 2
