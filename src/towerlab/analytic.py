@@ -43,7 +43,7 @@ def _local(sq, q):
     inside = np.max(np.abs(rel), axis=-1) < 0.5
     if not np.all(inside):
         pts = q.reshape(-1, 2)[~np.atleast_1d(inside).ravel()]
-        raise OutsideSquare(f"point {tuple(pts[0])} outside open square")
+        raise OutsideSquare(f"point {tuple(map(float, pts[0]))} outside open square")
     return rel
 
 

@@ -75,8 +75,7 @@ MODES = ("solve", "flux-report", "sequence", "compare", "export")
 _BASE_KEYS = {"mode", "domain", "h", "g", "out"}
 _SOLVER_KEYS = {"caps", "tol", "cauchy_tol"}
 _SEQ_KEYS = {"probes", "candidate_tol", "flux_slack", "grad_bound", "shrink",
-             "anchor", "window", "window_center", "grid", "limit_tol",
-             "workers"}
+             "anchor", "window", "window_center", "grid", "limit_tol"}
 # core_margin feeds solve_js's gate in the single-domain solve modes;
 # sequences gate their members at the default margin
 _SOLVE_KEYS = _BASE_KEYS | _SOLVER_KEYS | {"core_margin"}
@@ -110,7 +109,6 @@ class ExperimentConfig:
     window_center: tuple | None = None
     grid: int = 25
     limit_tol: float = DEFAULT_CAND_TOL
-    workers: int = 1
 
 
 def _parse_domain(value, base_dir, path, line):
@@ -201,7 +199,8 @@ def load_config(path):
     for key in ("h", "g"):
         if key not in seen:
             raise ConfigError(f"missing key {key!r}", spath)
-        kw[key] = _parse_float(seen[key][0], key, spath, seen[key][1], 0.0, 10.0)
+        # triangulate's own range; checked here so the error has a line
+        kw[key] = _parse_float(seen[key][0], key, spath, seen[key][1], 0.0, 1.0)
 
     def opt_float(key, lo, hi):
         if key in seen:
@@ -225,9 +224,7 @@ def load_config(path):
     opt_float("candidate_tol", 0.0, 2.0)
     opt_float("flux_slack", 0.0, 1.0)
     opt_float("grad_bound", 0.0, None)
-    if "shrink" in seen:
-        kw["shrink"] = _parse_float(seen["shrink"][0], "shrink", spath,
-                                    seen["shrink"][1], None, 0.49)
+    opt_float("shrink", 0.0, 0.49)
     if "anchor" in seen:
         pts = parse_point_list(seen["anchor"][0], spath, seen["anchor"][1])
         if len(pts) != 1:
@@ -246,11 +243,6 @@ def load_config(path):
             raise ConfigError("grid must be >= 2", spath, seen["grid"][1])
         kw["grid"] = n
     opt_float("limit_tol", 0.0, 1.0)
-    if "workers" in seen:
-        n = _parse_int(seen["workers"][0], "workers", spath, seen["workers"][1])
-        if n < 1:
-            raise ConfigError("workers must be >= 1", spath, seen["workers"][1])
-        kw["workers"] = n
     return ExperimentConfig(**kw)
 
 
@@ -322,10 +314,10 @@ def _run_compare(cfg, out):
     return 0
 
 
-def _run_sequence(cfg, out, workers):
+def _run_sequence(cfg, out):
     e = solve_sequence(cfg.domains, cfg.h, cfg.g, caps=cfg.caps, tol=cfg.tol,
                        cauchy_tol=cfg.cauchy_tol, limit_tol=cfg.limit_tol,
-                       probes=cfg.probes, workers=workers)
+                       probes=cfg.probes)
     rep = detect_divergence(e, tol=cfg.candidate_tol, flux_slack=cfg.flux_slack,
                             grad_bound=cfg.grad_bound, shrink=cfg.shrink)
     payload = sequence_report(e, rep)
@@ -375,7 +367,7 @@ def _run_export(cfg, out):
     return 0
 
 
-def run(cfg, out=None, workers=None):
+def run(cfg, out=None):
     """Execute a config; artifacts land in the output directory.
 
     Module errors propagate to the caller; main() turns them into a
@@ -385,7 +377,6 @@ def run(cfg, out=None, workers=None):
     if not out:
         raise ConfigError("no output directory (config key 'out' or flag --out)")
     os.makedirs(out, exist_ok=True)
-    workers = workers if workers is not None else cfg.workers
     if cfg.mode == "solve":
         return _run_solve(cfg, out)
     if cfg.mode == "flux-report":
@@ -393,7 +384,7 @@ def run(cfg, out=None, workers=None):
     if cfg.mode == "compare":
         return _run_compare(cfg, out)
     if cfg.mode == "sequence":
-        return _run_sequence(cfg, out, workers)
+        return _run_sequence(cfg, out)
     if cfg.mode == "export":
         return _run_export(cfg, out)
     raise ConfigError(f"unknown mode {cfg.mode!r}")
@@ -420,7 +411,6 @@ def main(argv=None):
         p = sub.add_parser(mode)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--seed", type=int, default=None,
                        help="reserved; the solver is deterministic")
     args = parser.parse_args(argv)
@@ -429,7 +419,7 @@ def main(argv=None):
         if cfg.mode != args.command:
             raise ConfigError(
                 f"config mode {cfg.mode!r} does not match subcommand {args.command!r}")
-        return run(cfg, out=args.out, workers=args.workers)
+        return run(cfg, out=args.out)
     except Exception as exc:  # every failure becomes a record + status 1
         if isinstance(exc, (KeyboardInterrupt, SystemExit)):
             raise

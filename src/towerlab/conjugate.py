@@ -387,13 +387,13 @@ def saddle_tower_piece(c, weld_tol=WELD_TOL):
                       welded=int(onplane.sum()))
 
 
-def surface_to_obj(c, path, comment=None):
+def surface_to_obj(c, path):
     """Conjugate surface as OBJ; the third coordinate is psi."""
-    write_obj(path, c.xyz, c.mesh.triangles, comment=comment)
+    write_obj(path, c.xyz, c.mesh.triangles)
 
 
-def tower_to_obj(piece, path, comment=None):
-    write_obj(path, piece.vertices, piece.triangles, comment=comment)
+def tower_to_obj(piece, path):
+    write_obj(path, piece.vertices, piece.triangles)
 
 
 def write_period_file(piece, path):

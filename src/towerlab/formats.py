@@ -140,16 +140,13 @@ def write_csv(path, header, rows):
             fh.write(",".join(cells) + "\n")
 
 
-def write_obj(path, vertices, faces, comment=None):
+def write_obj(path, vertices, faces):
     """Write a triangle mesh as Wavefront OBJ (1-based face indices).
 
     Vertex order follows the array order, which the mesh builders document
     as deterministic; floats use the fixed 9 significant digit format.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
         for v in vertices:
             fh.write("v " + " ".join(fmt_float(c) for c in v) + "\n")
         for f in faces:

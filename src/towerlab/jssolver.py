@@ -247,7 +247,6 @@ def solve_capped(mesh, M, tol=DEFAULT_TOL, u0=None):
         linear_iterations += 1
 
     polish = False
-    res = math.inf
     while True:
         grad_full, g, W = _energy_gradient(mesh, u)
         res = float(np.linalg.norm(grad_full[free]))
@@ -285,8 +284,7 @@ def solve_capped(mesh, M, tol=DEFAULT_TOL, u0=None):
         trace.append(E)
         iterations += 1
 
-    grad_full, g, W = _energy_gradient(mesh, u)
-    res = float(np.linalg.norm(grad_full[free]))
+    # both ways out of the loop leave g, W and res at the final u
     report = SolveReport(iterations=iterations, linear_iterations=linear_iterations,
                          residual=res, energy=E, energy_trace=tuple(trace))
     return GraphSolution(mesh=mesh, u=_lock(u), cap=float(M),
@@ -379,11 +377,11 @@ def zero_data_energy(mesh, M):
     return energy(mesh, u)
 
 
-def graph_to_obj(sol, path, comment=None):
+def graph_to_obj(sol, path):
     """Export the graph surface (x1, x2, u) as OBJ, u clamped to the cap."""
     z = np.clip(sol.u, -sol.cap, sol.cap)
     verts = np.column_stack([sol.mesh.nodes, z])
-    write_obj(path, verts, sol.mesh.triangles, comment=comment)
+    write_obj(path, verts, sol.mesh.triangles)
 
 
 def report_to_json(sol, path):

@@ -11,12 +11,11 @@ member stands in for the limit graph near any interior anchor.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import conjugate_function, flux
+from .conjugate import flux, triangle_circulations
 from .formats import fmt_float, write_csv
 from .jssolver import (
     DEFAULT_CAPS,
@@ -60,9 +59,9 @@ class QOutsideConvergenceDomain(ValueError):
 class SequenceExperiment:
     """Solved members of a degenerating family plus their classified limit.
 
-    members holds (polygon, solution, conjugate field) triples in the
-    order of the degeneration parameter; probes are the monitoring
-    points carried into divergence reports.
+    members holds (polygon, solution) pairs in the order of the
+    degeneration parameter; probes are the monitoring points carried
+    into divergence reports.
     """
 
     members: tuple
@@ -117,8 +116,7 @@ class NormalizedLimit:
     member_index: int
 
 
-def _solve_member(args):
-    poly, h, g, caps, tol, cauchy_tol = args
+def _solve_member(poly, h, g, caps, tol, cauchy_tol):
     mesh = triangulate(poly, h, g)
     try:
         sol = solve_js(mesh, caps=caps, tol=tol, cauchy_tol=cauchy_tol)
@@ -126,17 +124,16 @@ def _solve_member(args):
         # degenerating members stop stabilizing before the limit; keep the
         # deepest capped solve so fluxes and gradients stay comparable
         sol = exc.last
-    return poly, sol, conjugate_function(sol)
+    return poly, sol
 
 
 def solve_sequence(polys, h, g, caps=DEFAULT_CAPS, tol=DEFAULT_TOL,
                    cauchy_tol=DEFAULT_CAUCHY_TOL, limit_tol=DEFAULT_CAND_TOL,
-                   probes=(), workers=1):
+                   probes=()):
     """Solve every member of a polygon family and classify its limit.
 
-    Members are independent and can go to worker processes; the returned
-    order always matches the input order.  Probes are interior points
-    whose gradient each divergence report will track.
+    Members are solved in input order.  Probes are interior points whose
+    gradient each divergence report will track.
     """
     polys = list(polys)
     if not polys:
@@ -145,12 +142,7 @@ def solve_sequence(polys, h, g, caps=DEFAULT_CAPS, tol=DEFAULT_TOL,
         v = p.vertices
         if abs(v[0][0]) > 1e-9 or abs(v[0][1]) > 1e-9 or abs(v[1][0] - 1.0) > 1e-9 or abs(v[1][1]) > 1e-9:
             raise ValueError("sequence members must be normalized")
-    jobs = [(p, h, g, tuple(caps), tol, cauchy_tol) for p in polys]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            members = tuple(pool.map(_solve_member, jobs))
-    else:
-        members = tuple(_solve_member(j) for j in jobs)
+    members = tuple(_solve_member(p, h, g, tuple(caps), tol, cauchy_tol) for p in polys)
     limit = classify_limit(polys, tol=limit_tol)
     return SequenceExperiment(members=members, limit=limit,
                               probes=tuple(tuple(map(float, q)) for q in probes))
@@ -205,11 +197,15 @@ def detect_divergence(e, tol=DEFAULT_CAND_TOL, flux_slack=DEFAULT_FLUX_SLACK,
     """
     if len(e.members) < MONOTONE_WINDOW:
         raise ValueError("need at least three members")
+    if not 0.0 < shrink < 0.5:
+        # at 0 the segment ends on the vertex singularities and below it
+        # leaves the candidate; from 0.5 on it collapses or turns round
+        raise ValueError(f"shrink must lie in (0, 0.5), got {shrink}")
     cands = divergence_candidates(e.limit, tol)
     traces = []
     for seg in cands:
         fls, ratios, grads = [], [], []
-        for _poly, sol, _field in e.members:
+        for _poly, sol in e.members:
             fl, ratio, gmax = _segment_stats(sol, seg, shrink)
             fls.append(fl)
             ratios.append(ratio)
@@ -229,7 +225,7 @@ def detect_divergence(e, tol=DEFAULT_CAND_TOL, flux_slack=DEFAULT_FLUX_SLACK,
     probe_grads = np.zeros((len(e.members), len(e.probes)))
     if e.probes:
         P = np.asarray(e.probes, dtype=float)
-        for i, (_poly, sol, _field) in enumerate(e.members):
+        for i, (_poly, sol) in enumerate(e.members):
             g = gradient_at_many(sol, P)
             probe_grads[i] = np.hypot(g[:, 0], g[:, 1])
     return DivergenceReport(candidates=tuple(traces),
@@ -352,7 +348,8 @@ def normalized_limit(e, q, window, grid=25, cand_tol=DEFAULT_CAND_TOL):
     for seg in divergence_candidates(e.limit, cand_tol):
         if _point_segment_distance(q, np.asarray(seg)) < ANCHOR_CLEARANCE:
             raise QOutsideConvergenceDomain(
-                f"anchor {tuple(q)} within {ANCHOR_CLEARANCE} of candidate segment")
+                f"anchor {tuple(map(float, q))} within {ANCHOR_CLEARANCE} "
+                "of candidate segment")
     if np.isscalar(window):
         center, side = q, float(window)
     else:
@@ -361,7 +358,7 @@ def normalized_limit(e, q, window, grid=25, cand_tol=DEFAULT_CAND_TOL):
     ys = center[1] + side * (np.linspace(0.0, 1.0, grid) - 0.5)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    _poly, sol, _field = e.members[-1]
+    _poly, sol = e.members[-1]
     uq = float(_values_at(sol, q[None, :])[0])
     vals = _values_at(sol, pts) - uq
     return NormalizedLimit(tag=_limit_tag(e.limit), anchor=_lock(q),
@@ -376,14 +373,14 @@ def normalized_limit(e, q, window, grid=25, cand_tol=DEFAULT_CAND_TOL):
 def sequence_report(e, rep):
     """JSON-ready summary of a sequence experiment and its divergence scan."""
     members = []
-    for i, (poly, sol, field) in enumerate(e.members):
+    for i, (poly, sol) in enumerate(e.members):
         members.append({
             "index": i,
             "edges": int(poly.edge_count),
             "cap": float(sol.cap),
             "stabilized_cap": sol.report.stabilized_cap,
             "energy": float(sol.report.energy),
-            "loop_defect": float(field.loop_defect),
+            "loop_defect": float(np.abs(triangle_circulations(sol)[:, 2]).max()),
         })
     cands = []
     for tr in rep.candidates:
@@ -414,7 +411,7 @@ def write_sequence_csv(e, rep, path):
     for k in range(len(e.probes)):
         header += [f"probe_grad_{k}"]
     rows = []
-    for i, (poly, sol, _field) in enumerate(e.members):
+    for i, (poly, sol) in enumerate(e.members):
         stab = sol.report.stabilized_cap
         row = [i, poly.edge_count, fmt_float(sol.cap),
                "" if stab is None else fmt_float(stab)]

@@ -44,7 +44,7 @@ SLIVER_AREA2 = 1e-14
 TIE_RTOL = 1e-10
 # a safety net: the shipped meshes settle in at most two rounds of flips
 MAX_FLIP_ROUNDS = 100
-# locate_many's default margin outside a triangle
+# locate_many's margin outside a triangle
 LOCATE_TOL = 1e-10
 
 
@@ -103,9 +103,9 @@ class TriMesh:
     # __repr__, and it pickles with the mesh.
 
     @cached_property
-    def _point_grids(self):
-        # locate_many's bucket grids, one per tolerance in use
-        return {}
+    def _point_grid(self):
+        # locate_many's bucket grid
+        return _build_point_grid(self)
 
     @cached_property
     def _edge_owner(self):
@@ -753,7 +753,7 @@ class _PointGrid(NamedTuple):
     tri: np.ndarray
 
 
-def _build_point_grid(mesh, tol):
+def _build_point_grid(mesh):
     tris = mesh.triangles
     a = mesh.nodes[tris[:, 0]]
     b = mesh.nodes[tris[:, 1]]
@@ -766,7 +766,7 @@ def _build_point_grid(mesh, tol):
     hi = corners.max(axis=1)
     # {bary >= -tol} is the triangle scaled by 1 + 3 tol about its
     # centroid, whose corners move by at most 2 tol diam
-    pad = (4.0 * max(tol, 0.0) * (hi - lo).max(axis=1) + 1e-12)[:, None]
+    pad = (4.0 * LOCATE_TOL * (hi - lo).max(axis=1) + 1e-12)[:, None]
     lo = lo - pad
     hi = hi + pad
     cell = 1.5 * math.sqrt(float(np.abs(det).mean()) / 2.0)
@@ -792,7 +792,7 @@ def _build_point_grid(mesh, tol):
                       tri=_lock(owner[order]))
 
 
-def locate_many(mesh, pts, tol=LOCATE_TOL):
+def locate_many(mesh, pts):
     """Containing triangles and barycentric coordinates of many points.
 
     A point belongs to a triangle when all three barycentric coordinates
@@ -805,13 +805,13 @@ def locate_many(mesh, pts, tol=LOCATE_TOL):
     margin: the lowest-index triangle whose three edge lines it lies
     within ``tol`` of, in length.  Raises OutsideDomain, naming the first
     such point, when a point (NaN and infinite ones included) lies in
-    neither margin of any triangle.
+    neither margin of any triangle.  ``tol`` is ``LOCATE_TOL``.
 
     Candidates come from a uniform bucket grid over the triangles'
     bounding boxes, padded to cover the ``-tol`` margin, with cells about
-    1.5 mean triangle sizes wide.  The grid is built on the first call for
-    each ``tol``, in a few array passes over the triangles, and cached on
-    the mesh; a call then costs the points times the triangles per cell.
+    1.5 mean triangle sizes wide.  The grid is built on the first call, in
+    a few array passes over the triangles, and cached on the mesh; a call
+    then costs the points times the triangles per cell.
     Every candidate is tested with the scan's own formulas, so a point in
     the barycentric margin gets what a scan over all triangles gives it,
     barycentrics bit for bit.
@@ -821,9 +821,8 @@ def locate_many(mesh, pts, tol=LOCATE_TOL):
     out_bary = np.empty((len(pts), 3))
     if len(pts) == 0:
         return out_idx, out_bary
-    grid = mesh._point_grids.get(tol)
-    if grid is None:
-        grid = mesh._point_grids[tol] = _build_point_grid(mesh, tol)
+    tol = LOCATE_TOL
+    grid = mesh._point_grid
     nx = grid.shape[0]
     for s in range(0, len(pts), 1024):
         block = pts[s:s + 1024]
@@ -853,20 +852,23 @@ def locate_many(mesh, pts, tol=LOCATE_TOL):
             missed = np.ones(len(block), dtype=bool)
             missed[found] = False
             for r in np.flatnonzero(missed):
-                near = _locate_near(grid, block[r], tol)
+                near = _locate_near(grid, block[r])
                 if near is None:
-                    raise OutsideDomain(f"point {tuple(block[r])} outside the mesh")
+                    q = tuple(map(float, block[r]))
+                    raise OutsideDomain(f"point {q} outside the mesh")
                 out_idx[s + r], out_bary[s + r] = near
     return out_idx, out_bary
 
 
-def _locate_near(grid, q, tol):
+def _locate_near(grid, q):
     """The lowest-index triangle whose three edge lines ``q`` lies within
-    ``tol`` of, in length, and its barycentrics; None when there is none.
+    ``LOCATE_TOL`` of, in length, and its barycentrics; None when there is
+    none.
 
     Triangles that close pass their padded boxes through one of the 3 x 3
-    cells around ``q``'s, since ``tol`` is far below a cell width.
+    cells around ``q``'s, since ``LOCATE_TOL`` is far below a cell width.
     """
+    tol = LOCATE_TOL
     f = np.floor((q - grid.origin) / grid.cell)
     if not np.isfinite(f).all():
         return None
@@ -895,7 +897,7 @@ def _locate_near(grid, q, tol):
     return cand[j], (l0[j], l1[j], l2[j])
 
 
-def mesh_to_obj(mesh, path, comment=None):
+def mesh_to_obj(mesh, path):
     """Write the flat mesh as OBJ with x3 = 0."""
     verts = np.column_stack([mesh.nodes, np.zeros(len(mesh.nodes))])
-    write_obj(path, verts, mesh.triangles, comment=comment)
+    write_obj(path, verts, mesh.triangles)

@@ -100,6 +100,11 @@ def test_outside_square_raises():
         scherk_gradient(UNIT, (1.2, 0.5))
 
 
+def test_outside_square_named_in_plain_floats():
+    with pytest.raises(OutsideSquare, match=r"^point \(1\.2, 0\.5\) outside open square$"):
+        scherk_gradient(UNIT, [(0.5, 0.5), (1.2, 0.5)])
+
+
 def test_batch_evaluation_matches_scalar():
     pts = np.array([[0.5, 0.25], [0.3, 0.6], [0.9, 0.9]])
     vals = scherk_value(UNIT, pts)

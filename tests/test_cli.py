@@ -105,6 +105,42 @@ def test_nonpositive_core_margin_rejected_with_line(tmp_path, margin):
         load_config(p)
 
 
+@pytest.mark.parametrize("key", ["h", "g"])
+def test_mesh_size_above_one_rejected_with_line(tmp_path, key):
+    # triangulate takes h and g in (0, 1]; the config names the line
+    values = {"h": "0.5", "g": "0.5", key: "2"}
+    p = write_cfg(tmp_path / "c.cfg", "mode = export\ndomain = square\n"
+                  f"h = {values['h']}\ng = {values['g']}\n")
+    line = 3 if key == "h" else 4
+    with pytest.raises(ConfigError, match=rf"c\.cfg:{line}: {key} must be <= 1\.0, got 2$"):
+        load_config(p)
+
+
+# sequence keys: a value in range, the field it lands in, a value out of range
+SEQUENCE_KEYS = [
+    ("candidate_tol", "0.1", 0.1, "3"),
+    ("flux_slack", "0.1", 0.1, "1.5"),
+    ("grad_bound", "20", 20.0, "0"),
+    ("shrink", "0.1", 0.1, "-0.2"),
+    ("shrink", "0.49", 0.49, "0"),
+    ("anchor", "(0.25, 0.5)", (0.25, 0.5), "(0.1, 0.1), (0.2, 0.2)"),
+    ("window", "0.4", 0.4, "0"),
+    ("window_center", "(0.5, 0.5)", (0.5, 0.5), "(0.1, 0.1), (0.2, 0.2)"),
+    ("grid", "9", 9, "1"),
+    ("limit_tol", "0.01", 0.01, "2"),
+]
+
+
+@pytest.mark.parametrize("key, good, want, bad", SEQUENCE_KEYS)
+def test_sequence_key_parsed_or_rejected_with_line(tmp_path, key, good, want, bad):
+    head = "mode = sequence\n" + "domain = square\n" * 3 + "h = 0.1\ng = 1\n"
+    p = write_cfg(tmp_path / "c.cfg", head + f"{key} = {good}\n")
+    assert getattr(load_config(p), key) == want
+    p = write_cfg(tmp_path / "c.cfg", head + f"{key} = {bad}\n")
+    with pytest.raises(ConfigError, match=rf"c\.cfg:7: {key} must"):
+        load_config(p)
+
+
 def test_missing_mesh_size(tmp_path):
     p = write_cfg(tmp_path / "c.cfg", "mode = solve\ndomain = square\ng = 1\n")
     with pytest.raises(ConfigError, match="'h'"):
@@ -272,23 +308,6 @@ g = 1.0
     assert len(rep["rhombi"]) == 2
     assert rep["translation"] is None
     assert len(rep["candidates"]) == 1
-
-
-def test_sequence_workers_match(tmp_path):
-    p = write_cfg(tmp_path / "c.cfg", f"""
-mode = sequence
-domain = regular 3
-domain = regular 3
-domain = regular 3
-h = 0.25
-g = 1.0
-{HONEST}
-""")
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    run(load_config(p), out=str(out1), workers=1)
-    run(load_config(p), out=str(out2), workers=2)
-    assert (out1 / "sequence.csv").read_bytes() == (out2 / "sequence.csv").read_bytes()
-    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
 def test_run_without_out_dir(tmp_path):

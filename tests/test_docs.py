@@ -1,12 +1,14 @@
 """README and shipped files stay in step.
 
-The README is the user's map of the configs, scripts and modules; a path
-it names that no longer exists, or a shipped config or module it never
-mentions, is rot.
+The README is the user's map of the configs, scripts, modules and config
+keys; a path or key it names that no longer exists, or a shipped config,
+module or accepted key it never mentions, is rot.
 """
 
 import re
 from pathlib import Path
+
+from towerlab.cli import MODES, _MODE_KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -29,3 +31,21 @@ def test_layout_names_every_module():
     modules = {f.name for f in (ROOT / "src" / "towerlab").glob("*.py")
                if not f.name.startswith("__")}
     assert modules and sorted(modules - named) == []
+
+
+def test_config_key_table_matches_load_config():
+    table = README.split("## Config keys", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", table, flags=re.M)
+    solving = {"solve", "flux-report", "compare"}
+    documented = {}
+    for key, modes in rows:
+        named = set()
+        for m in modes.split(","):
+            m = m.strip().strip("`")
+            named |= set(MODES) if m == "all" else solving if m == "solving modes" else {m}
+        documented[key] = named
+    accepted = {}
+    for mode, keys in _MODE_KEYS.items():
+        for key in keys:
+            accepted.setdefault(key, set()).add(mode)
+    assert documented == accepted

@@ -269,6 +269,27 @@ def test_solve_js_rejects_nonpositive_core_margin(hex_mesh, margin):
         solve_js(hex_mesh, caps=CAPS, core_margin=margin)
 
 
+def test_final_gradient_evaluated_once(hex_mesh, monkeypatch):
+    # the loop's last gradient is the one at the returned u, so the
+    # solve evaluates it once per Newton step plus once at the end
+    calls = []
+    real = jssolver._energy_gradient
+
+    def counting(mesh, u):
+        calls.append(u.copy())
+        return real(mesh, u)
+
+    monkeypatch.setattr(jssolver, "_energy_gradient", counting)
+    sol = solve_capped(hex_mesh, 3.0)
+    assert len(calls) == sol.report.iterations + 1
+    monkeypatch.undo()
+    assert np.array_equal(calls[-1], sol.u)
+    grad_full, g, W = jssolver._energy_gradient(hex_mesh, np.asarray(sol.u))
+    free = hex_mesh.interior_mask()
+    assert sol.report.residual == float(np.linalg.norm(grad_full[free]))
+    assert np.array_equal(sol.grad, g) and np.array_equal(sol.W, W)
+
+
 def test_geometry_computed_once_per_ladder(monkeypatch):
     # refine leaves the geometry uncomputed; all five rungs then share
     # the one copy that the first of them caches on the mesh

@@ -11,7 +11,7 @@ classification tags and the not-diverging verdict.
 import numpy as np
 import pytest
 
-from towerlab import jssolver, limits
+from towerlab import conjugate, jssolver, limits
 from towerlab.analytic import ScherkSquare, scherk_value
 from towerlab.conjugate import flux
 from towerlab.limits import (
@@ -139,7 +139,7 @@ def test_hdelta_limit_is_special_split_rectangle(hdelta_seq):
 # divergence detection on the collapsing hexagon family
 
 def test_members_all_stabilize(hdelta_seq):
-    caps = tuple(s.report.stabilized_cap for _, s, _ in hdelta_seq.members)
+    caps = tuple(s.report.stabilized_cap for _, s in hdelta_seq.members)
     assert caps == (3.0, 3.0, 4.0, 5.0)
 
 
@@ -185,6 +185,14 @@ def test_detect_needs_three_members(hdelta_seq):
                                limit=hdelta_seq.limit)
     with pytest.raises(ValueError):
         detect_divergence(short)
+
+
+@pytest.mark.parametrize("shrink", [-0.2, 0.0, 0.5, 0.6])
+def test_detect_rejects_shrink_out_of_range(hex_const_seq, shrink):
+    # a negative shrink extends the segment past its vertices, out of the
+    # mesh, and zero ends it on them; 0.5 and beyond collapse or flip it
+    with pytest.raises(ValueError, match="shrink"):
+        detect_divergence(hex_const_seq, shrink=shrink)
 
 
 def test_not_diverging_verdict(hex_const_seq):
@@ -293,6 +301,11 @@ def test_anchor_near_candidate_rejected(hdelta_seq):
         normalized_limit(hdelta_seq, (0.5, 0.95), 0.3)
 
 
+def test_anchor_named_in_plain_floats(hdelta_seq):
+    with pytest.raises(QOutsideConvergenceDomain, match=r"^anchor \(0\.5, 0\.95\) within"):
+        normalized_limit(hdelta_seq, (0.5, 0.95), 0.3)
+
+
 def test_anchor_value_is_zero(hex_const_seq):
     nl = normalized_limit(hex_const_seq, HEX_CENTER, (HEX_CENTER, 0.6))
     mid = nl.values.shape[0] // 2
@@ -320,7 +333,7 @@ def test_halfplane_family_tag(grow_seq):
 def test_truncated_growth_family_tag(grow_seq):
     # through the 12-gon the lateral extents grow by 0.866 < 1, so the
     # same members classify as an unbounded polygon and the tag changes
-    polys = [p for p, _, _ in grow_seq.members[:4]]
+    polys = [p for p, _ in grow_seq.members[:4]]
     lim = classify_limit(polys, tol=0.05)
     assert lim.kind == "unbounded-polygon"
     assert not lim.special
@@ -358,20 +371,33 @@ def test_solve_sequence_rejects_unnormalized():
         solve_sequence([shifted], h=0.2, g=1.0)
 
 
-def test_workers_match_serial():
-    polys = [regular_polygon(3)] * 3
-    e1 = solve_sequence(polys, h=0.2, g=1.0, cauchy_tol=HONEST_CAUCHY_TOL)
-    e2 = solve_sequence(polys, h=0.2, g=1.0, cauchy_tol=HONEST_CAUCHY_TOL,
-                        workers=2)
-    for (_, sa, fa), (_, sb, fb) in zip(e1.members, e2.members):
-        assert np.array_equal(sa.u, sb.u)
-        assert np.array_equal(fa.psi, fb.psi)
+def test_sequence_integrates_no_conjugate(monkeypatch):
+    # members carry no conjugate field: the report's loop defect is read
+    # off the triangle circulations, which need no spanning tree
+    calls = []
+    real = conjugate._integrate
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(conjugate, "_integrate", counting)
+    e = solve_sequence([regular_polygon(3)] * 3, h=0.2, g=1.0,
+                       cauchy_tol=HONEST_CAUCHY_TOL)
+    sequence_report(e, detect_divergence(e))
+    assert calls == []
+
+
+def test_report_loop_defect_is_conjugate_field_defect(hdelta_seq, hdelta_report):
+    rep = sequence_report(hdelta_seq, hdelta_report)
+    for row, (_, sol) in zip(rep["members"], hdelta_seq.members):
+        assert row["loop_defect"] == conjugate.conjugate_function(sol).loop_defect
 
 
 def test_fallback_keeps_deepest_cap(grow_seq):
     # the 8-gon member refuses to stabilize at this resolution; the
     # sequence keeps its cap-6 solve instead of raising
-    _, sol, _ = grow_seq.members[1]
+    _, sol = grow_seq.members[1]
     assert sol.report.stabilized_cap is None
     assert sol.cap == 6.0
 
@@ -389,8 +415,8 @@ def test_fallback_reuses_the_ladder(monkeypatch):
         return solve_capped(*args, **kwargs)
 
     monkeypatch.setattr(jssolver, "solve_capped", counting)
-    _, sol, _ = limits._solve_member((poly, 0.1, 0.5, caps, jssolver.DEFAULT_TOL,
-                                      HONEST_CAUCHY_TOL))
+    _, sol = limits._solve_member(poly, 0.1, 0.5, caps, jssolver.DEFAULT_TOL,
+                                  HONEST_CAUCHY_TOL)
     assert calls == list(caps)
     monkeypatch.undo()
     mesh = triangulate(poly, 0.1, 0.5)
@@ -404,7 +430,7 @@ def test_flux_against_conjugate_module(hdelta_seq, hdelta_report):
     tr = hdelta_report.candidates[0]
     a, b = np.asarray(tr.segment)
     a2, b2 = a + 0.05 * (b - a), b - 0.05 * (b - a)
-    for i, (_, sol, _) in enumerate(hdelta_seq.members):
+    for i, (_, sol) in enumerate(hdelta_seq.members):
         direct = flux(sol, [tuple(a2), tuple(b2)])
         assert abs(direct - tr.flux[i]) <= 1e-12
 

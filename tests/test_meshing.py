@@ -265,7 +265,26 @@ def test_locate_index_survives_pickling(square_mesh):
     copy = pickle.loads(pickle.dumps(square_mesh))
     got = locate_many(copy, pts)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    assert "_point_grids" not in repr(square_mesh)
+    assert "_point_grid" not in repr(square_mesh)
+
+
+def test_locate_caches_one_grid():
+    m = triangulate(unit_square(), 0.25, 1.0)
+    assert "_point_grid" not in vars(m)
+    pts = np.array([[0.3, 0.4], [0.5, 0.5], [1.0, 0.25]])
+    locate_many(m, pts)
+    grid = vars(m)["_point_grid"]
+    assert isinstance(grid, meshing._PointGrid)
+    locate(m, (0.7, 0.1))
+    assert vars(m)["_point_grid"] is grid
+    copy = pickle.loads(pickle.dumps(m))
+    kept = vars(copy)["_point_grid"]
+    assert all(np.array_equal(a, b) for a, b in zip(kept, grid))
+
+
+def test_outside_point_named_in_plain_floats(square_mesh):
+    with pytest.raises(OutsideDomain, match=r"^point \(1\.5, 0\.5\) outside the mesh$"):
+        locate(square_mesh, (1.5, 0.5))
 
 
 def test_locate_many_memory_stays_small():
