@@ -76,6 +76,7 @@ _BASE_KEYS = {"mode", "domain", "h", "g", "out"}
 _SOLVER_KEYS = {"caps", "tol", "cauchy_tol"}
 _SEQ_KEYS = {"probes", "candidate_tol", "flux_slack", "grad_bound", "shrink",
              "anchor", "window", "window_center", "grid", "limit_tol"}
+_WINDOW_KEYS = {"window", "window_center", "grid"}
 # core_margin feeds solve_js's gate in the single-domain solve modes;
 # sequences gate their members at the default margin
 _SOLVE_KEYS = _BASE_KEYS | _SOLVER_KEYS | {"core_margin"}
@@ -185,6 +186,9 @@ def load_config(path):
     for key, (_value, line) in seen.items():
         if key not in allowed:
             raise ConfigError(f"key {key!r} not allowed in mode {mode!r}", spath, line)
+        # the sample window is read only around an anchor
+        if key in _WINDOW_KEYS and "anchor" not in seen:
+            raise ConfigError(f"key {key!r} needs 'anchor'", spath, line)
     if not domain_items:
         raise ConfigError("missing key 'domain'", spath)
     if mode != "sequence" and len(domain_items) != 1:

@@ -14,6 +14,12 @@ by shortest paths weighted with the local circulation defect, so the
 integration detours around the wall layer where the discrete forms are
 least closed.
 
+The tree is found in array passes: scipy's Dijkstra gives each node's
+distance from the ring, and each node's parent is read off the edges
+that reach it, replaying a node-at-a-time Dijkstra's pop order (by
+distance, then node index) where zero or sub-ulp weights tie distances.
+The potentials are then assigned one tree depth at a time.
+
 Sign conventions: with g = (u_x, u_y) and W = sqrt(1 + |g|^2),
 
     dpsi = (u_x dy - u_y dx) / W
@@ -27,10 +33,12 @@ horizontal plane, and the flux of dpsi over the wall from (0, 0) to
 
 from __future__ import annotations
 
-import heapq
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import dijkstra
 
 from .formats import write_csv, write_json, write_obj
 from .meshing import LOCATE_TOL, OutsideDomain, locate_many
@@ -123,58 +131,102 @@ def _surface_coeffs(sol):
     return np.stack([w1, w2, w3], axis=1)
 
 
-def _spanning_tree(mesh, edges, root, weight):
+def _spanning_tree(mesh, root, weight):
     """Boundary-chain-first, defect-weighted spanning tree.
 
     The boundary ring enters as a chain growing from the root in both
     arc directions, split where the two fronts meet, so every boundary
     potential is a sum of one-sided wall increments and never detours
-    through the interior.  Interior nodes then attach by Dijkstra from
-    the whole ring under the given per-edge weights; weighting an edge
-    by the worst adjacent elementary circulation makes the tree route
-    integration paths around the poorly resolved wall layer.  Returns
-    (parent, child, edge index) steps in dependency order.
+    through the interior.  Interior nodes then attach by shortest paths
+    from the whole ring under the given per-edge weights; weighting an
+    edge by the worst adjacent elementary circulation makes the tree
+    route integration paths around the poorly resolved wall layer.
+
+    The tree is the one a node-at-a-time Dijkstra builds when it pops
+    nodes in (distance, index) order and moves a parent only on a strict
+    improvement, found in array passes:
+
+    - scipy's Dijkstra gives the distances, with the same sums;
+    - an edge a -> b reaches b when dist[a] + w == dist[b]; a node is
+      seeded when an edge from a smaller distance reaches it;
+    - nodes pop by distance, then by index, except at a distance that an
+      edge reaches without raising it (zero or sub-ulp weights): there
+      the pops are replayed from the seeded nodes, lowest index first,
+      each pop claiming the unclaimed nodes across such edges;
+    - a seeded node's parent is its reaching neighbour popped first.
+
+    Returns (parent, edge index to the parent, distance) per node; the
+    root's parent and edge are -1.
     """
+    edges, _ = mesh._edge_owner
     n = len(mesh.nodes)
     ring = mesh.boundary_nodes()
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    eid = np.tile(np.arange(len(edges)), 2)
+    by_src = np.lexsort((dst, src))
+    src, dst, eid = src[by_src], dst[by_src], eid[by_src]
+    w = weight[eid]
+    # built from index arrays, so the zero weights stay edges
+    graph = sparse.csr_matrix(
+        (w, dst, np.searchsorted(src, np.arange(n + 1))), shape=(n, n))
+    dist = dijkstra(graph, indices=ring, min_only=True)
+    lost = int(np.isinf(dist).sum())
+    if lost:
+        raise ValueError(f"mesh edge graph is disconnected: {lost} of {n} "
+                         "nodes unreached from the boundary ring")
+
+    # ring and seeded nodes are claimed up front; the replay claims the rest
+    claimed = np.zeros(n, dtype=bool)
+    claimed[ring] = True
+    reach = (dist[src] + w == dist[dst]) & ~claimed[dst]
+    tied = dist[src] == dist[dst]
+    flat, rise = reach & tied, reach & ~tied
+    claimed[dst[rise]] = True
+    # pop order by distance, then index; the replay reorders tied runs
+    order = np.argsort(dist, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    parent = np.full(n, -1, dtype=np.int64)
+    via = np.full(n, -1, dtype=np.int64)
+
+    # src is sorted, so each node's flat edges are one slice
+    fsrc, fdst, feid = src[flat], dst[flat].tolist(), eid[flat].tolist()
+    fcut = np.searchsorted(fsrc, np.arange(n + 1)).tolist()
+    sorted_dist = dist[order]
+    for d in np.unique(dist[fsrc]).tolist():
+        slot = int(np.searchsorted(sorted_dist, d))
+        # node indices in a sorted list serve as the heap
+        queue = np.flatnonzero(claimed & (dist == d)).tolist()
+        while queue:
+            i = queue.pop(0)
+            rank[i] = slot
+            slot += 1
+            for e in range(fcut[i], fcut[i + 1]):
+                j = fdst[e]
+                if not claimed[j]:
+                    claimed[j] = True
+                    parent[j] = i
+                    via[j] = feid[e]
+                    bisect.insort(queue, j)
+
+    # a seeded node's parent is the first popped source of a rising edge
+    s, t, k = src[rise], dst[rise], eid[rise]
+    first = np.lexsort((rank[s], t))
+    t, keep = np.unique(t[first], return_index=True)
+    parent[t] = s[first][keep]
+    via[t] = k[first][keep]
+
     nb = len(ring)
     p0 = ring.tolist().index(root)
     # ring positions forward from the root for half the ring, then backward
     fwd = p0 + np.arange(nb // 2 + 1)
     bwd = p0 - np.arange(nb - nb // 2)
-    src = ring[np.concatenate([fwd[:-1], bwd[:-1]]) % nb]
-    dst = ring[np.concatenate([fwd[1:], bwd[1:]]) % nb]
-    steps = list(zip(src.tolist(), dst.tolist(),
-                     mesh._edge_index(np.stack([src, dst], axis=1)).tolist()))
-    nbr = [[] for _ in range(n)]
-    for k, (i, j) in enumerate(edges):
-        nbr[int(i)].append((int(j), k))
-        nbr[int(j)].append((int(i), k))
-    dist = np.full(n, np.inf)
-    done = np.zeros(n, dtype=bool)
-    parent = np.full(n, -1, dtype=np.int64)
-    via = np.full(n, -1, dtype=np.int64)
-    heap = []
-    for r in ring.tolist():
-        dist[r] = 0.0
-        heapq.heappush(heap, (0.0, r))
-    while heap:
-        dd, i = heapq.heappop(heap)
-        if done[i]:
-            continue
-        done[i] = True
-        if parent[i] >= 0:
-            steps.append((int(parent[i]), i, int(via[i])))
-        for j, k in nbr[i]:
-            nd = dd + weight[k]
-            if not done[j] and nd < dist[j]:
-                dist[j] = nd
-                parent[j] = i
-                via[j] = k
-                heapq.heappush(heap, (nd, j))
-    if not done.all():
-        raise ValueError("mesh edge graph is disconnected")
-    return steps
+    a = ring[np.concatenate([fwd[:-1], bwd[:-1]]) % nb]
+    b = ring[np.concatenate([fwd[1:], bwd[1:]]) % nb]
+    parent[b] = a
+    via[b] = mesh._edge_index(np.stack([a, b], axis=1))
+    return parent, via, dist
 
 
 def _triangle_circulations(mesh, coeffs):
@@ -207,18 +259,33 @@ def _integrate(mesh, coeffs, root):
     anchored to zero at the root and the per-form max |circulation| over
     the elementary loops.  The tree is weighted by the circulation of the
     last form, which callers arrange to be dpsi, so the function and the
-    surface integrate over the identical tree.
+    surface integrate over the identical tree.  Potentials are assigned
+    one tree depth at a time, each node as its parent's potential plus
+    the signed edge integral, the same sum per node as a walk down the
+    tree.
     """
     edges, owner = mesh._edge_owner
     circs = _triangle_circulations(mesh, coeffs)
     weight = _edge_weights(mesh, np.abs(circs[:, -1]))
-    steps = _spanning_tree(mesh, edges, root, weight)
+    parent, via, _ = _spanning_tree(mesh, root, weight)
     d = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
     w = np.einsum("ekd,ed->ek", coeffs[owner], d)
-    pot = np.zeros((len(mesh.nodes), coeffs.shape[1]))
-    for i, j, k in steps:
-        sgn = 1.0 if edges[k, 0] == i else -1.0
-        pot[j] = pot[i] + sgn * w[k]
+    kid = parent >= 0
+    sgn = np.where(edges[via[kid], 0] == parent[kid], 1.0, -1.0)
+    step = np.zeros((len(mesh.nodes), coeffs.shape[1]))
+    step[kid] = sgn[:, None] * w[via[kid]]
+    # depth by pointer doubling: depth[v] tree edges lie between v and up[v]
+    up = np.where(kid, parent, root)
+    depth = kid.astype(np.int64)
+    while (up != root).any():
+        depth += depth[up]
+        up = up[up]
+    order = np.argsort(depth, kind="stable")
+    cuts = np.searchsorted(depth[order], np.arange(1, depth.max() + 2))
+    pot = np.zeros_like(step)
+    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        now = order[a:b]
+        pot[now] = pot[parent[now]] + step[now]
     defects = np.abs(circs).max(axis=0)
     return pot, defects
 

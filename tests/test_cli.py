@@ -134,10 +134,23 @@ SEQUENCE_KEYS = [
 @pytest.mark.parametrize("key, good, want, bad", SEQUENCE_KEYS)
 def test_sequence_key_parsed_or_rejected_with_line(tmp_path, key, good, want, bad):
     head = "mode = sequence\n" + "domain = square\n" * 3 + "h = 0.1\ng = 1\n"
-    p = write_cfg(tmp_path / "c.cfg", head + f"{key} = {good}\n")
+    # the window keys are read only with an anchor, given after the key
+    tail = "anchor = (0.5, 0.5)\n" if key in ("window", "window_center", "grid") else ""
+    p = write_cfg(tmp_path / "c.cfg", head + f"{key} = {good}\n" + tail)
     assert getattr(load_config(p), key) == want
-    p = write_cfg(tmp_path / "c.cfg", head + f"{key} = {bad}\n")
+    p = write_cfg(tmp_path / "c.cfg", head + f"{key} = {bad}\n" + tail)
     with pytest.raises(ConfigError, match=rf"c\.cfg:7: {key} must"):
+        load_config(p)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("window", "0.3"), ("window_center", "(0.5, 0.5)"), ("grid", "7"),
+])
+def test_window_key_without_anchor_rejected_with_line(tmp_path, key, value):
+    # without an anchor no samples are taken, so the key would do nothing
+    p = write_cfg(tmp_path / "c.cfg", "mode = sequence\n" + "domain = square\n" * 3
+                  + f"h = 0.1\ng = 1\n{key} = {value}\nprobes = (0.5, 0.5)\n")
+    with pytest.raises(ConfigError, match=rf"c\.cfg:7: key '{key}' needs 'anchor'"):
         load_config(p)
 
 

@@ -1,11 +1,13 @@
+import heapq
 import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from towerlab.polygon import split_rectangle
-from towerlab.meshing import triangulate
+from towerlab import conjugate
+from towerlab.polygon import near_special_hexagon, regular_polygon, split_rectangle, unit_square
+from towerlab.meshing import TriMesh, triangulate
 from towerlab.jssolver import last_capped
 from towerlab.conjugate import (
     conjugate_function,
@@ -370,3 +372,152 @@ def test_period_file(tmp_path, square_surface):
     import json
 
     assert json.loads(out.read_text()) == {"period": [0.0, 0.0, 2.0]}
+
+
+# ------------------------------------------------------- spanning tree
+
+# The node-at-a-time heapq Dijkstra that the array passes replaced, kept
+# as the reference tree and the reference potentials.
+
+def _heap_tree(mesh, root, weight):
+    """(parent, child, edge index) steps in pop order, and the distances."""
+    edges, _ = mesh._edge_owner
+    n = len(mesh.nodes)
+    ring = mesh.boundary_nodes()
+    nb = len(ring)
+    p0 = ring.tolist().index(root)
+    fwd = p0 + np.arange(nb // 2 + 1)
+    bwd = p0 - np.arange(nb - nb // 2)
+    src = ring[np.concatenate([fwd[:-1], bwd[:-1]]) % nb]
+    dst = ring[np.concatenate([fwd[1:], bwd[1:]]) % nb]
+    steps = list(zip(src.tolist(), dst.tolist(),
+                     mesh._edge_index(np.stack([src, dst], axis=1)).tolist()))
+    nbr = [[] for _ in range(n)]
+    for k, (i, j) in enumerate(edges):
+        nbr[int(i)].append((int(j), k))
+        nbr[int(j)].append((int(i), k))
+    dist = np.full(n, np.inf)
+    done = np.zeros(n, dtype=bool)
+    parent = np.full(n, -1, dtype=np.int64)
+    via = np.full(n, -1, dtype=np.int64)
+    heap = []
+    for r in ring.tolist():
+        dist[r] = 0.0
+        heapq.heappush(heap, (0.0, r))
+    while heap:
+        dd, i = heapq.heappop(heap)
+        if done[i]:
+            continue
+        done[i] = True
+        if parent[i] >= 0:
+            steps.append((int(parent[i]), i, int(via[i])))
+        for j, k in nbr[i]:
+            nd = dd + weight[k]
+            if not done[j] and nd < dist[j]:
+                dist[j] = nd
+                parent[j] = i
+                via[j] = k
+                heapq.heappush(heap, (nd, j))
+    if not done.all():
+        raise ValueError("mesh edge graph is disconnected")
+    return steps, dist
+
+
+def _heap_tree_arrays(mesh, root, weight):
+    steps, dist = _heap_tree(mesh, root, weight)
+    parent = np.full(len(mesh.nodes), -1, dtype=np.int64)
+    via = np.full(len(mesh.nodes), -1, dtype=np.int64)
+    for i, j, k in steps:
+        parent[j], via[j] = i, k
+    return parent, via, dist
+
+
+def _heap_integrate(mesh, coeffs, root):
+    edges, owner = mesh._edge_owner
+    circs = conjugate._triangle_circulations(mesh, coeffs)
+    weight = conjugate._edge_weights(mesh, np.abs(circs[:, -1]))
+    steps, _ = _heap_tree(mesh, root, weight)
+    d = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
+    w = np.einsum("ekd,ed->ek", coeffs[owner], d)
+    pot = np.zeros((len(mesh.nodes), coeffs.shape[1]))
+    for i, j, k in steps:
+        sgn = 1.0 if edges[k, 0] == i else -1.0
+        pot[j] = pot[i] + sgn * w[k]
+    return pot
+
+
+def _assert_same_tree(mesh, root, weight):
+    got = conjugate._spanning_tree(mesh, root, weight)
+    want = _heap_tree_arrays(mesh, root, weight)
+    for g, w_ in zip(got, want):
+        assert np.array_equal(g, w_)
+
+
+ORACLE_DOMAINS = {
+    "square": (unit_square(), 0.05, 0.25),
+    "hexagon": (regular_polygon(3), 0.1, 0.5),
+    "octagon": (regular_polygon(4), 0.1, 0.5),
+    "near-special": (near_special_hexagon(0.05), 0.05, 0.25),
+    "split-rectangle": (split_rectangle(3), 0.05, 0.25),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_DOMAINS))
+def ladder(request, square_fine_mesh):
+    domain, h, g = ORACLE_DOMAINS[request.param]
+    mesh = square_fine_mesh if request.param == "square" else triangulate(domain, h=h, g=g)
+    return last_capped(mesh, caps=(2.0, 3.0, 4.0, 5.0, 6.0))
+
+
+def _check_against_heap(sol):
+    mesh = sol.mesh
+    root = conjugate._root_node(mesh)
+    coeffs = conjugate._surface_coeffs(sol)
+    circs = conjugate._triangle_circulations(mesh, coeffs)
+    _assert_same_tree(mesh, root, conjugate._edge_weights(mesh, np.abs(circs[:, -1])))
+    psi = conjugate_function(sol).psi
+    xyz = conjugate_surface(sol).xyz
+    assert psi.tobytes() == _heap_integrate(mesh, conjugate._psi_coeffs(sol)[:, None, :],
+                                            root)[:, 0].tobytes()
+    assert xyz.tobytes() == _heap_integrate(mesh, coeffs, root).tobytes()
+
+
+def test_tree_and_potentials_equal_heap_reference(ladder):
+    # same parent, edge and distance at every node, same potential bytes,
+    # at every cap of the ladder
+    for sol in ladder:
+        _check_against_heap(sol)
+
+
+def test_zero_solution_tree_equals_heap_reference(zero_sol):
+    # every edge weighs 0, so all nodes share one distance and the whole
+    # tree comes from the tie replay
+    _check_against_heap(zero_sol)
+
+
+TIE_WEIGHTS = np.array([0.0, 4e-19, 1e-3, 2e-3])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.lists(st.integers(0, 3), min_size=4, max_size=4).filter(any))
+def test_tree_equals_heap_reference_under_ties(square_fine_mesh, seed, mix):
+    # a handful of weight values makes distance ties common; 4e-19 is
+    # below one ulp of every nonzero distance, so it ties too
+    mesh = square_fine_mesh
+    p = np.asarray(mix, dtype=float) / sum(mix)
+    weight = np.random.default_rng(seed).choice(TIE_WEIGHTS, size=len(mesh._edge_owner[0]), p=p)
+    _assert_same_tree(mesh, int(mesh.vertex_nodes[0]), weight)
+
+
+def test_disconnected_edge_graph_raises():
+    # two separate triangles; the boundary ring runs round the first
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                      [2.0, 0.0], [3.0, 0.0], [2.0, 1.0]])
+    mesh = TriMesh(polygon=unit_square(), h=1.0, g=1.0, nodes=nodes,
+                   triangles=np.array([[0, 1, 2], [3, 4, 5]]),
+                   bnd_edges=np.array([[0, 1], [1, 2], [2, 0]]),
+                   bnd_edge_id=np.array([0, 1, 2]), bnd_marking=np.array([1, -1, 0]),
+                   vertex_nodes=np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match="disconnected: 3 of 6 nodes unreached"):
+        conjugate._spanning_tree(mesh, 0, np.zeros(6))
